@@ -11,16 +11,21 @@ import math
 import pytest
 
 from benchmarks.conftest import bench_jobs, save_table
-from repro.experiments import format_panel_table, get_panel, run_panel, shape_metrics
-from repro.experiments.runner import sim_measure_cycles
+from repro.experiments import (
+    SweepEngine,
+    format_panel_table,
+    get_panel,
+    shape_metrics,
+    sim_measure_cycles,
+)
 
 
 def _run_and_check(benchmark, results_dir, panel_name):
     spec = get_panel(panel_name)
     measure = sim_measure_cycles(60_000)
     result = benchmark.pedantic(
-        lambda: run_panel(
-            spec, measure_cycles=measure, seed=2005, jobs=bench_jobs()
+        lambda: SweepEngine(jobs=bench_jobs(), use_cache=False).run_panel(
+            spec, measure_cycles=measure, seed=2005
         ),
         rounds=1,
         iterations=1,

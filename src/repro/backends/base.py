@@ -2,17 +2,17 @@
 
 A :class:`SweepBackend` is the execution substrate of one sweep
 campaign: the :class:`~repro.experiments.sweep.SweepEngine` hands it an
-ordered mapping of *work units* (simulation points, or same-shape
-chunks of points) and two streaming callbacks, and the backend runs
-every unit to completion or terminal failure — however it likes:
-in-process on a pool (:class:`~repro.backends.local.LocalPoolBackend`)
-or cooperatively with any number of worker processes on a shared
-filesystem (:class:`~repro.backends.filequeue.FileQueueBackend`).
+ordered mapping of *work units* (chunks of same-shape simulation
+configurations, one point each when ``batch=1``) and two streaming
+callbacks, and the backend runs every unit to completion or terminal
+failure — however it likes: in process or on a local pool
+(:class:`~repro.backends.local.LocalPoolBackend`), or cooperatively
+with any number of worker processes on a shared filesystem
+(:class:`~repro.backends.filequeue.FileQueueBackend`).
 
-The contract is exactly the one
-:meth:`repro.resilience.ResilientExecutor.run` established — the local
-backend *is* that executor, and every other backend must be
-indistinguishable from it result-wise:
+The contract is the one :meth:`repro.resilience.ResilientExecutor.run`
+established — the local backend uses that executor for ``jobs > 1`` —
+and every backend must be indistinguishable from it result-wise:
 
 * retried units re-run identical configurations, so results are
   bit-identical to a fault-free run on any backend;

@@ -13,7 +13,7 @@ Campaign directory layout
 
     <campaign-dir>/
       meta.json            campaign header (protocol version, store path)
-      queue/<unit>.json    work units awaiting claim (atomic tmp+rename)
+      queue/<unit>.json    work units (lists of configs) awaiting claim
       leases/<unit>.lease  claims: O_CREAT|O_EXCL created by one winner
       results/<unit>.json  completed payloads (atomic tmp+rename)
       heartbeats/<id>.json one per live worker, refreshed on a timer
@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk campaign protocol changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Grace before an *undecodable* lease is quarantined: its writer may be
 #: mid-write right now (the O_EXCL create and the payload write are two
@@ -306,7 +306,6 @@ class _Unit:
 
     uid: str
     key: Hashable
-    mode: str  # "point" | "chunk"
     cfgs: List[SimulationConfig]
     attempt: int = 0  # charged attempts so far
     requeue_at: Optional[float] = None  # backoff gate for republish
@@ -395,19 +394,10 @@ class FileQueueBackend(SweepBackend):
         self.max_worker_restarts = int(max_worker_restarts)
 
     # -- unit (de)hydration --------------------------------------------
-    @staticmethod
-    def _split_task(args: tuple) -> Tuple[str, List[SimulationConfig]]:
-        """Map an engine task-args tuple to (mode, configs)."""
-        payload = args[0]
-        if isinstance(payload, SimulationConfig):
-            return "point", [payload]
-        return "chunk", list(payload)
-
     def _unit_body(self, unit: _Unit) -> dict:
         return {
             "protocol": PROTOCOL_VERSION,
             "unit": unit.uid,
-            "mode": unit.mode,
             "attempt": unit.attempt,
             "configs": [asdict(c) for c in unit.cfgs],
         }
@@ -482,9 +472,8 @@ class FileQueueBackend(SweepBackend):
         on_retry: Optional[Callable] = None,
         store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
-        # ``fn`` executes on the *worker* side (the unit body names the
-        # mode; workers run the engine's own point/chunk functions), so
-        # it is unused here beyond having defined the task shapes.
+        # ``fn`` executes on the *worker* side (workers run the engine's
+        # own chunk function on each unit's configs), so it is unused here.
         del fn
         ensure_layout(self.root)
         sweep_stale(
@@ -508,9 +497,9 @@ class FileQueueBackend(SweepBackend):
 
         # Hydrate units with campaign-unique ids.
         keys = list(tasks)
+        cfgs_by_key = {k: list(tasks[k][0]) for k in keys}
         salt_blob = json.dumps(
-            [self._split_task(tasks[k])[0] for k in keys]
-            + [[asdict(c) for c in self._split_task(tasks[k])[1]] for k in keys],
+            [[asdict(c) for c in cfgs_by_key[k]] for k in keys],
             sort_keys=True,
             default=str,
         )
@@ -527,9 +516,8 @@ class FileQueueBackend(SweepBackend):
         units: Dict[str, _Unit] = {}
         by_key: Dict[Hashable, str] = {}
         for i, key in enumerate(keys):
-            mode, cfgs = self._split_task(tasks[key])
             uid = f"{campaign}-{i:05d}"
-            units[uid] = _Unit(uid=uid, key=key, mode=mode, cfgs=cfgs)
+            units[uid] = _Unit(uid=uid, key=key, cfgs=cfgs_by_key[key])
             by_key[key] = uid
 
         results: Dict[Hashable, object] = {}
@@ -610,14 +598,17 @@ class FileQueueBackend(SweepBackend):
                     unit, "exception", "malformed result payload", time.monotonic()
                 )
                 return
-            value: object = pts[0] if unit.mode == "point" else pts
+            # A unit claimed and finished between two polls was never
+            # seen leased; its worker-reported compute time stands in.
             if unit.first_claim is not None:
                 durations.append(time.monotonic() - unit.first_claim)
-            results[unit.key] = value
+            elif isinstance(payload.get("seconds"), (int, float)):
+                durations.append(float(payload["seconds"]))
+            results[unit.key] = pts
             stats.completed += 1
             resolve(unit)
             if on_result is not None:
-                drops = on_result(unit.key, value, unit.attempt + 1)
+                drops = on_result(unit.key, pts, unit.attempt + 1)
                 if drops:
                     drop_keys(drops)
 

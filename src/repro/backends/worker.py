@@ -12,9 +12,8 @@ directory — run the same loop:
    and may have been retracted by the coordinator in between — and
    release the lease if the unit vanished.
 2. **Compute**: run the unit's configurations through the engine's own
-   point/chunk functions (:func:`~repro.experiments.sweep._simulate_point`
-   / ``_simulate_chunk``), so a distributed point is bit-identical to a
-   local one.
+   chunk function (:func:`~repro.experiments.sweep._simulate_chunk`), so
+   a distributed point is bit-identical to a local one.
 3. **Persist**: write each completed point to the campaign's shared
    :class:`~repro.store.ResultStore` (if ``meta.json`` names one), then
    publish ``results/<unit>.json`` with an atomic tmp+rename — *before*
@@ -232,23 +231,21 @@ class FileQueueWorker:
     def _run_unit(self, body: dict) -> dict:
         """Execute one unit body; returns the result-file payload."""
         # Lazy import: the engine module imports the backends package.
-        from repro.experiments.sweep import _simulate_chunk, _simulate_point
+        from repro.experiments.sweep import _simulate_chunk
 
         uid = str(body.get("unit"))
         attempt = int(body.get("attempt", 0))
-        mode = body.get("mode")
         try:
             cfgs = [config_from_dict(c) for c in body.get("configs", [])]
-            if not cfgs or mode not in ("point", "chunk"):
+            if not cfgs:
                 raise ValueError(f"malformed unit body for {uid!r}")
             fault_key = cfgs[0].seed
             faults.maybe_worker_kill(fault_key, attempt)
             self._maybe_steal_lease(fault_key, attempt)
             self._maybe_stall(fault_key, attempt)
-            if mode == "point":
-                points = [_simulate_point(cfgs[0], attempt)]
-            else:
-                points = _simulate_chunk(cfgs, attempt)
+            started = time.monotonic()
+            points = _simulate_chunk(cfgs, attempt)
+            seconds = time.monotonic() - started
             store = self._campaign_store()
             if store is not None:
                 for cfg, point in zip(cfgs, points):
@@ -259,6 +256,7 @@ class FileQueueWorker:
                 "attempt": attempt,
                 "worker": self.worker_id,
                 "status": "ok",
+                "seconds": seconds,
                 "points": [
                     {
                         "rate": p.rate,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.results import SweepResult
-from repro.experiments.runner import PanelResult
+from repro.experiments.sweep import PanelResult
 
 __all__ = ["ShapeMetrics", "shape_metrics", "format_panel_table"]
 

@@ -2,51 +2,57 @@
 
 Every figure of the paper is a *load sweep*: the analytical model and
 the flit-level simulator evaluated over a grid of injection rates.  The
-:class:`SweepEngine` is the one place that work is orchestrated:
+:class:`SweepEngine` is the one place that work is orchestrated.
 
-Parallel simulation
-    Simulation points — of one panel, or of every panel of a figure at
-    once — run concurrently on a
-    :class:`concurrent.futures.ProcessPoolExecutor` with ``jobs``
-    workers.  Each grid point gets a *deterministic per-point seed*
-    derived from ``(base seed, panel name, point index)`` via SHA-256
-    (:func:`point_seed`), so results are bit-identical for any ``jobs``
-    value: ``jobs=1`` runs the exact same configurations sequentially
-    and merely stops early at the first saturated point, while
-    ``jobs>1`` evaluates the grid concurrently and truncates the series
-    at the first saturated point afterwards — the returned
-    :class:`~repro.core.results.SweepResult` is identical either way.
+One campaign loop
+    :meth:`SweepEngine.run_panels` simulates every panel of a call as
+    one campaign, in three steps:
 
-Pluggable execution backends
-    Parallel campaigns run on a :class:`~repro.backends.SweepBackend`:
-    the default :class:`~repro.backends.LocalPoolBackend` is the
-    resilient in-process pool below, byte-for-byte the pre-backend
-    engine; ``backend="file:<campaign-dir>"`` (or
-    ``REPRO_BACKEND=file:<dir>``) coordinates any number of ``repro
-    worker`` processes across hosts sharing a filesystem
-    (:class:`~repro.backends.FileQueueBackend`) with lease-based
-    claiming, heartbeat health monitoring and crash-consistent requeue
-    — results stay bit-identical on every backend.
+    1. Points restored from a resumed journal, or found in the result
+       store, are noted first; every store hit is journaled with
+       ``source: "cache"``.
+    2. The remaining points of each panel — up to its first *known*
+       saturated point — are cut, in grid order, into chunks of
+       ``batch`` points (one point each with ``batch=1``).  A chunk is
+       keyed by its first member.
+    3. Every chunk goes through one :meth:`~repro.backends.SweepBackend
+       .run` call with :func:`_simulate_chunk` as the unit of work.  As
+       each chunk completes, its points are cached and journaled, and
+       any queued chunk lying entirely past the panel's first saturated
+       point is dropped.
+
+    Each series is then truncated at its first saturated point.  Every
+    grid point has a *deterministic per-point seed* derived from
+    ``(base seed, panel name, point index)`` via SHA-256
+    (:func:`point_seed`), and the batched simulator is bit-identical to
+    solo runs, so the returned
+    :class:`~repro.core.results.SweepResult` is identical for any
+    ``jobs``, ``batch`` or backend.
+
+Execution backends
+    The default :class:`~repro.backends.LocalPoolBackend` runs chunks
+    in process, in order, when ``jobs=1`` — so the early stop at
+    saturation is the same ``on_result`` drop every backend honours —
+    and on a resilient ``jobs``-process pool otherwise.
+    ``backend="file:<campaign-dir>"`` (or ``REPRO_BACKEND=file:<dir>``)
+    coordinates any number of ``repro worker`` processes across hosts
+    sharing a filesystem (:class:`~repro.backends.FileQueueBackend`).
 
 Fault tolerance
-    Points run under a :class:`~repro.resilience.ResilientExecutor`:
-    every attempt gets a wall-clock timeout (``point_timeout``), failed
-    attempts are retried with capped exponential backoff
-    (``max_retries``), a crashed worker rebuilds the pool and resubmits
-    only the unfinished points, and each completed point is cached and
-    journaled the moment its future resolves — one worker death no
-    longer discards a panel's finished points.  Retries are
-    deterministic: a retried point re-runs the same per-point seed, so
+    Failed chunks are retried with capped exponential backoff
+    (``max_retries``).  On a pool, every attempt also gets a wall-clock
+    timeout (``point_timeout``) and a crashed worker rebuilds the pool;
+    the in-process ``jobs=1`` run applies no timeout.  Retries are
+    deterministic: a retried chunk re-runs the same configurations, so
     a faulty campaign produces bit-identical points to a fault-free
-    one.  Terminal failures become structured
-    :class:`~repro.resilience.PointFailure` records on
-    ``SweepResult.failures`` instead of a lost panel.  The
+    one.  A chunk that exhausts its budget gives every member a
+    :class:`~repro.resilience.PointFailure` record on
+    ``SweepResult.failures`` instead of losing the panel.  The
     fault-injection harness (:mod:`repro.faults`, ``REPRO_FAULTS``)
     chaos-tests exactly these paths.
 
 Resumable campaigns
-    :meth:`SweepEngine.run_panels` (and :meth:`run_panel`) append every
-    point's status to a JSONL checkpoint journal
+    Every point's status is appended to a JSONL checkpoint journal
     (:class:`~repro.resilience.CheckpointJournal`) under
     ``<cache dir>/journal/<campaign-hash>.jsonl``.  An interrupted
     campaign re-run with ``resume=True`` (CLI ``--resume``) restores
@@ -63,23 +69,15 @@ Batched, warm-started model sweeps
     tolerance) on the same fixed points.
 
 On-disk result cache
-    Each simulated point is persisted as a small JSON file keyed by the
-    SHA-256 hash of its full :class:`~repro.simulator.config
-    .SimulationConfig` (plus a cache-format version).  Entries carry a
-    schema version and a payload checksum *in the body*: corrupt,
-    truncated or stale-schema files are quarantined to a ``corrupt/``
-    subdirectory (and the point recomputed) rather than silently
-    ignored, and stale ``*.tmp`` files left by interrupted writers are
-    swept on engine startup.  The cache lives in ``$REPRO_CACHE_DIR``
-    when set, else ``~/.cache/repro/sweeps``; ``use_cache=False`` (CLI
-    ``--no-cache``) bypasses it entirely.  The implementation is the
-    shared :class:`repro.store.ResultStore` — concurrent-writer safe
-    (unique-tmp + atomic rename), so distributed file-queue workers on
-    other hosts populate the same store the local engine reads.
-
-The legacy entry points :func:`repro.experiments.runner.run_panel` and
-``run_panel_model_only`` delegate here with ``jobs=1`` — the sequential
-path is the degenerate case, not a separate implementation.
+    Simulated points persist in the shared content-addressed
+    :class:`repro.store.ResultStore`, keyed by the SHA-256 hash of the
+    full :class:`~repro.simulator.config.SimulationConfig`.  Corrupt,
+    truncated or stale-schema entries are quarantined and recomputed,
+    stale ``*.tmp`` files are swept on engine startup, and writers are
+    concurrency-safe, so file-queue workers on other hosts populate the
+    same store the engine reads.  It lives in ``$REPRO_CACHE_DIR`` when
+    set, else ``~/.cache/repro/sweeps``; ``use_cache=False`` (CLI
+    ``--no-cache``) bypasses it entirely.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,20 +103,11 @@ from repro.resilience import (
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.sim import Simulation, run_batch
-from repro.store import (
-    CACHE_VERSION as _CACHE_VERSION,
-    TMP_MAX_AGE_SECONDS as _TMP_MAX_AGE_SECONDS,
-    ResultStore,
-    config_key,
-    default_store_dir,
-    payload_checksum as _payload_checksum,
-)
+from repro.store import ResultStore, config_key, default_store_dir
 
 __all__ = [
     "PanelResult",
     "SweepEngine",
-    "config_key",
-    "default_cache_dir",
     "point_seed",
     "sim_batch_size",
     "sim_jobs",
@@ -129,58 +117,40 @@ __all__ = [
 #: Bump when the checkpoint-journal campaign format changes.
 _JOURNAL_VERSION = 1
 
-#: Back-compat alias: the on-disk point cache grew into the shared
-#: content-addressed :class:`repro.store.ResultStore` (concurrent-writer
-#: safe so distributed file-queue workers can populate it too).
-_SweepCache = ResultStore
 
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """Integer environment variable ``name``, or ``default`` when unset.
 
-def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sweeps``."""
-    return default_store_dir()
+    Raises a :class:`ValueError` naming the variable when it is set to
+    a non-integer or to a value below ``minimum``.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def sim_measure_cycles(default: int = 120_000) -> int:
-    """Measurement cycles per simulation point (env-overridable).
+    """Measurement cycles per simulation point (``REPRO_SIM_CYCLES``).
 
-    Reads ``REPRO_SIM_CYCLES``; raises a :class:`ValueError` naming the
-    variable when it is set to a non-integer or unusably small value.
+    At least 1000 cycles, below which the batch-means statistics mean
+    nothing.
     """
-    raw = os.environ.get("REPRO_SIM_CYCLES", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SIM_CYCLES must be an integer number of cycles, "
-            f"got {raw!r}"
-        ) from None
-    if value < 1_000:
-        raise ValueError(
-            f"REPRO_SIM_CYCLES={value} too small; need >= 1000 for meaningful stats"
-        )
-    return value
+    return _env_int("REPRO_SIM_CYCLES", default, 1_000)
 
 
 def sim_jobs(default: int = 1) -> int:
-    """Simulation worker processes (``REPRO_JOBS``, env-overridable).
+    """Simulation worker processes (``REPRO_JOBS``).
 
-    The one validated parse shared by the examples and benchmarks;
-    raises a :class:`ValueError` naming the variable on bad input.
+    The one validated parse shared by the examples and benchmarks.
     """
-    raw = os.environ.get("REPRO_JOBS", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be an integer number of workers, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_JOBS must be >= 1, got {value}")
-    return value
+    return _env_int("REPRO_JOBS", default, 1)
 
 
 def sim_batch_size(default: int = 1) -> int:
@@ -189,21 +159,9 @@ def sim_batch_size(default: int = 1) -> int:
     A batch of B same-shape grid points is advanced by one
     :class:`~repro.simulator.batch.BatchedSoAEngine` instead of B
     sequential runs — bit-identical results, one kernel call per tick.
-    ``1`` (the default) keeps plain per-point execution.  Raises a
-    :class:`ValueError` naming the variable on bad input.
+    ``1`` (the default) runs every point on its own.
     """
-    raw = os.environ.get("REPRO_SIM_BATCH", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SIM_BATCH must be an integer batch size, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_SIM_BATCH must be >= 1, got {value}")
-    return value
+    return _env_int("REPRO_SIM_BATCH", default, 1)
 
 
 def point_seed(base_seed: int, panel: str, index: int) -> int:
@@ -241,12 +199,13 @@ class PanelResult:
 
 
 def _simulate_point(cfg: SimulationConfig, attempt: int = 0) -> SweepPoint:
-    """Process-pool worker: one simulation run -> one sweep point.
+    """One solo simulation run -> one sweep point.
 
-    ``attempt`` feeds the deterministic fault-injection harness only
-    (crash/hang draws are keyed on the point seed *and* the attempt, so
-    a retried point draws afresh); the simulation itself depends solely
-    on ``cfg``, which is what keeps retried results bit-identical.
+    The reference that chunk results are compared against: campaigns
+    run :func:`_simulate_chunk`, which must agree with this bit for
+    bit.  ``attempt`` feeds the deterministic fault-injection harness
+    only (its draws are keyed on the point seed *and* the attempt, so a
+    retry draws afresh); the result depends solely on ``cfg``.
     """
     faults.on_point_attempt(cfg.seed, attempt)
     res = Simulation(cfg).run()
@@ -257,14 +216,15 @@ def _simulate_point(cfg: SimulationConfig, attempt: int = 0) -> SweepPoint:
 def _simulate_chunk(
     cfgs: Sequence[SimulationConfig], attempt: int = 0
 ) -> List[SweepPoint]:
-    """Process-pool worker: one *batched* job -> several sweep points.
+    """The campaign unit of work: one chunk of configs -> its sweep points.
 
-    The chunk's same-shape configurations advance together on one
+    Same-shape configurations advance together on one
     :class:`~repro.simulator.batch.BatchedSoAEngine`
-    (:func:`repro.simulator.sim.run_batch`); every point is
-    bit-identical to :func:`_simulate_point` on the same config, so
-    batched and per-point campaigns share one cache.  Fault injection
-    is keyed on the first config's seed — a chunk retries as a unit.
+    (:func:`repro.simulator.sim.run_batch`); a one-config chunk runs
+    solo.  Every point is bit-identical to :func:`_simulate_point` on
+    the same config, so every ``batch`` size shares one cache.  Fault
+    injection is keyed on the first config's seed — a chunk retries as
+    a unit.
     """
     faults.on_point_attempt(cfgs[0].seed, attempt)
     points = []
@@ -288,38 +248,40 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Simulation worker processes.  ``1`` (default) runs points
-        sequentially in-process with early stop at the first saturated
-        point; ``>1`` fans points (across all panels of a call) out to a
-        process pool and truncates each series at its first saturated
-        point, yielding bit-identical results to ``jobs=1``.
+        Simulation worker processes for the default local backend.
+        ``1`` (default) runs chunks in process, in order; ``>1`` fans
+        the chunks of every panel of a call out to a resilient process
+        pool.  Results are bit-identical either way.
     batch:
-        Simulation points per job (default: ``$REPRO_SIM_BATCH``, else
-        1).  With ``batch > 1`` each job advances a chunk of same-shape
-        grid points on one
+        Simulation points per chunk (default: ``$REPRO_SIM_BATCH``,
+        else 1).  With ``batch > 1`` each chunk advances same-shape
+        grid points together on one
         :class:`~repro.simulator.batch.BatchedSoAEngine` — bit-identical
-        results at a fraction of the per-cycle Python overhead; chunks
+        results at a fraction of the per-cycle Python overhead.  Chunks
         retry (and fail) as a unit.
     use_cache:
         Consult/populate the on-disk point cache (see module docstring).
     cache_dir:
-        Cache root; defaults to :func:`default_cache_dir`.  Also hosts
-        the campaign checkpoint journals (``journal/`` subdirectory).
+        Cache root; defaults to :func:`repro.store.default_store_dir`.
+        Also hosts the campaign checkpoint journals (``journal/``
+        subdirectory).
     warm_start:
         Chain each model point's converged fixed-point state into the
         next rate's solve (identical results to solver tolerance, far
         fewer iterations).
     max_retries:
-        Extra attempts per simulation point after the first (default 2).
-        Retried points re-run the same per-point seed, so results stay
-        bit-identical to a fault-free run; a point that exhausts its
-        budget becomes a :class:`~repro.resilience.PointFailure` record
-        on ``SweepResult.failures``.
+        Extra attempts per chunk after the first (default 2).  Retried
+        chunks re-run the same per-point seeds, so results stay
+        bit-identical to a fault-free run; a chunk that exhausts its
+        budget gives each member a
+        :class:`~repro.resilience.PointFailure` record on
+        ``SweepResult.failures``.
     point_timeout:
-        Wall-clock seconds per point attempt (``jobs > 1`` only; the
-        sequential path cannot interrupt itself).  A timed-out worker is
-        presumed hung, terminated, and its point retried on a rebuilt
-        pool.  ``None`` (default) disables the deadline.
+        Wall-clock seconds per chunk attempt on a process pool.  A
+        timed-out worker is presumed hung, terminated, and its chunk
+        retried on a rebuilt pool.  Not applied when ``jobs=1``: the
+        in-process run cannot interrupt itself.  ``None`` (default)
+        disables the deadline.
     backoff_base:
         Base of the capped exponential retry backoff (seconds).
     jitter:
@@ -331,14 +293,12 @@ class SweepEngine:
         checkpointed points from the campaign journal instead of
         recomputing them.
     backend:
-        Execution substrate for parallel campaigns: ``None`` (consult
+        Execution substrate of the campaign loop: ``None`` (consult
         ``$REPRO_BACKEND``, default local), a selector string
         (``"local"``, ``"file:<campaign-dir>"``) or a
-        :class:`~repro.backends.SweepBackend` instance.  The default
-        local backend is byte-for-byte the pre-backend engine; a
-        distributed backend always takes the campaign path (its
-        parallelism is however many workers join), and the shared
-        result store is advertised to its workers.
+        :class:`~repro.backends.SweepBackend` instance.  A distributed
+        backend's parallelism is however many workers join, and the
+        shared result store is advertised to its workers.
 
     ``stats`` accumulates :class:`~repro.resilience.ExecutorStats`
     (retries, timeouts, pool rebuilds, terminal failures) across this
@@ -385,9 +345,9 @@ class SweepEngine:
         self.stats = ExecutorStats()
         self.backend = resolve_backend(backend, jobs=self.jobs)
         self.cache_root = (
-            Path(cache_dir) if cache_dir is not None else default_cache_dir()
+            Path(cache_dir) if cache_dir is not None else default_store_dir()
         )
-        self.cache = _SweepCache(self.cache_root) if use_cache else None
+        self.cache = ResultStore(self.cache_root) if use_cache else None
         if self.cache is not None:
             self.cache.clean_stale_tmp()
 
@@ -470,76 +430,6 @@ class SweepEngine:
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    @staticmethod
-    def _journal_record(journal: Optional[CheckpointJournal], entry: dict) -> None:
-        if journal is not None:
-            journal.record(entry)
-
-    def _journal_done(
-        self,
-        journal: Optional[CheckpointJournal],
-        panel: str,
-        index: int,
-        cfg: SimulationConfig,
-        point: SweepPoint,
-        attempts: int,
-        source: str = "simulated",
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "point",
-                "status": "done",
-                "panel": panel,
-                "index": index,
-                "config": config_key(cfg)[:16],
-                "rate": point.rate,
-                "latency": point.latency,
-                "saturated": point.saturated,
-                "attempts": attempts,
-                "source": source,
-            },
-        )
-
-    def _journal_failed(
-        self,
-        journal: Optional[CheckpointJournal],
-        failure: PointFailure,
-        cfg: SimulationConfig,
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "point",
-                "status": "failed",
-                "panel": failure.panel,
-                "index": failure.index,
-                "config": config_key(cfg)[:16],
-                "kind": failure.kind,
-                "attempts": failure.attempts,
-                "message": failure.message,
-            },
-        )
-
-    def _journal_retry(
-        self,
-        journal: Optional[CheckpointJournal],
-        panel: str,
-        index: int,
-        kind: str,
-        attempt: int,
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "retry",
-                "panel": panel,
-                "index": index,
-                "kind": kind,
-                "attempt": attempt,
-            },
-        )
-
     def _open_journal(
         self,
         specs: Sequence[PanelSpec],
@@ -600,345 +490,107 @@ class SweepEngine:
         )
         return journal, done
 
-    # -- point execution -----------------------------------------------
-    def _attempt_point_sequential(
+    # -- the campaign loop ---------------------------------------------
+    def _run_campaign(
         self,
-        panel: str,
-        index: int,
-        cfg: SimulationConfig,
+        specs: Sequence[PanelSpec],
+        cfgs_by: Dict[str, List[SimulationConfig]],
+        done: Dict[_PointKey, SweepPoint],
         journal: Optional[CheckpointJournal],
-    ) -> Tuple[Optional[SweepPoint], Optional[PointFailure]]:
-        """One point, in-process, with cache, retries and journaling."""
-        if self.cache is not None:
-            hit = self.cache.get(cfg)
-            if hit is not None:
-                self._journal_done(
-                    journal, panel, index, cfg, hit, attempts=0, source="cache"
-                )
-                return hit, None
-        for attempt in range(self.policy.max_retries + 1):
-            try:
-                point = _simulate_point(cfg, attempt)
-            except Exception as exc:
-                if attempt < self.policy.max_retries:
-                    self.stats.retries += 1
-                    self._journal_retry(journal, panel, index, "exception", attempt)
-                    time.sleep(self.policy.backoff(attempt))
-                    continue
-                failure = PointFailure(
-                    panel=panel,
-                    index=index,
-                    rate=cfg.rate,
-                    kind="exception",
-                    attempts=attempt + 1,
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-                self.stats.failures += 1
-                self._journal_failed(journal, failure, cfg)
-                return None, failure
-            if self.cache is not None:
-                self.cache.put(cfg, point)
-            self._journal_done(
-                journal, panel, index, cfg, point, attempts=attempt + 1
+    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
+        """Restore, look up, then run the rest as chunks on the backend."""
+        points: Dict[_PointKey, SweepPoint] = {}
+        first_sat: Dict[str, int] = {}
+
+        def record(entry: dict) -> None:
+            if journal is not None:
+                journal.record(entry)
+
+        def record_done(
+            panel: str, i: int, point: SweepPoint, attempts: int, source: str
+        ) -> None:
+            record(
+                {
+                    "event": "point",
+                    "status": "done",
+                    "panel": panel,
+                    "index": i,
+                    "config": config_key(cfgs_by[panel][i])[:16],
+                    "rate": point.rate,
+                    "latency": point.latency,
+                    "saturated": point.saturated,
+                    "attempts": attempts,
+                    "source": source,
+                }
             )
-            return point, None
-        raise AssertionError("unreachable")
-
-    def _attempt_chunk_sequential(
-        self,
-        panel: str,
-        chunk: List[Tuple[int, SimulationConfig]],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[
-        Optional[List[SweepPoint]], Optional[Dict[int, PointFailure]]
-    ]:
-        """One batched job, in-process, with retries and journaling.
-
-        The chunk succeeds or fails as a unit: on terminal failure every
-        member point gets its own :class:`PointFailure` record.
-        """
-        cfgs = [cfg for _, cfg in chunk]
-        for attempt in range(self.policy.max_retries + 1):
-            try:
-                pts = _simulate_chunk(cfgs, attempt)
-            except Exception as exc:
-                if attempt < self.policy.max_retries:
-                    self.stats.retries += 1
-                    self._journal_retry(
-                        journal, panel, chunk[0][0], "exception", attempt
-                    )
-                    time.sleep(self.policy.backoff(attempt))
-                    continue
-                failures: Dict[int, PointFailure] = {}
-                for i, cfg in chunk:
-                    failure = PointFailure(
-                        panel=panel,
-                        index=i,
-                        rate=cfg.rate,
-                        kind="exception",
-                        attempts=attempt + 1,
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
-                    self.stats.failures += 1
-                    self._journal_failed(journal, failure, cfg)
-                    failures[i] = failure
-                return None, failures
-            for (i, cfg), point in zip(chunk, pts):
-                if self.cache is not None:
-                    self.cache.put(cfg, point)
-                self._journal_done(
-                    journal, panel, i, cfg, point, attempts=attempt + 1
-                )
-            return pts, None
-        raise AssertionError("unreachable")
-
-    def _campaign_sequential(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """The ``jobs=1`` degenerate case: in order, stop at saturation."""
-        if self.batch > 1:
-            return self._campaign_sequential_batched(
-                specs, cfgs_by, done, journal
-            )
-        points: Dict[_PointKey, SweepPoint] = {}
-        failures: Dict[_PointKey, PointFailure] = {}
-        for spec in specs:
-            for i, cfg in enumerate(cfgs_by[spec.name]):
-                key = (spec.name, i)
-                if key in done:
-                    points[key] = done[key]
-                else:
-                    point, failure = self._attempt_point_sequential(
-                        spec.name, i, cfg, journal
-                    )
-                    if failure is not None:
-                        failures[key] = failure
-                        continue
-                    points[key] = point
-                if points[key].saturated:
-                    break
-        return points, failures
-
-    def _campaign_sequential_batched(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """``jobs=1`` with ``batch>1``: chunks of points per batched job.
-
-        Semantics match the per-point path — each panel still truncates
-        at its first saturated point (reassembly drops anything later),
-        a chunk may merely compute a few points past it before the next
-        saturation check.  Restored/cached points are never re-run.
-        """
-        points: Dict[_PointKey, SweepPoint] = {}
-        failures: Dict[_PointKey, PointFailure] = {}
-        for spec in specs:
-            cfgs = cfgs_by[spec.name]
-            i = 0
-            stop = False
-            while i < len(cfgs) and not stop:
-                chunk: List[Tuple[int, SimulationConfig]] = []
-                while i < len(cfgs) and len(chunk) < self.batch:
-                    key = (spec.name, i)
-                    cfg = cfgs[i]
-                    i += 1
-                    hit = done.get(key)
-                    if hit is None and self.cache is not None:
-                        hit = self.cache.get(cfg)
-                        if hit is not None:
-                            self._journal_done(
-                                journal, spec.name, key[1], cfg, hit,
-                                attempts=0, source="cache",
-                            )
-                    if hit is not None:
-                        points[key] = hit
-                        if hit.saturated:
-                            stop = True
-                            break
-                        continue
-                    chunk.append((key[1], cfg))
-                if not chunk:
-                    continue
-                pts, chunk_failures = self._attempt_chunk_sequential(
-                    spec.name, chunk, journal
-                )
-                if chunk_failures is not None:
-                    for j, failure in chunk_failures.items():
-                        failures[(spec.name, j)] = failure
-                    continue
-                for (j, _), point in zip(chunk, pts):
-                    points[(spec.name, j)] = point
-                    if point.saturated:
-                        stop = True
-        return points, failures
-
-    def _campaign_parallel(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Fan every needed point of every panel onto one resilient pool."""
-        points: Dict[_PointKey, SweepPoint] = {}
-        known_sat: Dict[str, int] = {}
 
         def note(key: _PointKey, point: SweepPoint) -> None:
             points[key] = point
-            if point.saturated:
-                panel, i = key
-                if panel not in known_sat or i < known_sat[panel]:
-                    known_sat[panel] = i
+            panel, i = key
+            if point.saturated and i < first_sat.get(panel, i + 1):
+                first_sat[panel] = i
 
         for spec in specs:
             for i, cfg in enumerate(cfgs_by[spec.name]):
-                key = (spec.name, i)
-                if key in done:
-                    note(key, done[key])
-                    continue
-                if self.cache is not None:
+                hit = done.get((spec.name, i))
+                if hit is None and self.cache is not None:
                     hit = self.cache.get(cfg)
                     if hit is not None:
-                        self._journal_done(
-                            journal, spec.name, i, cfg, hit,
-                            attempts=0, source="cache",
-                        )
-                        note(key, hit)
+                        record_done(spec.name, i, hit, 0, "cache")
+                if hit is not None:
+                    note((spec.name, i), hit)
 
-        tasks: Dict[_PointKey, tuple] = {}
+        # Pending points up to each panel's first known saturated point,
+        # cut in grid order into chunks keyed by their first member.
+        members: Dict[_PointKey, List[int]] = {}
         for spec in specs:
-            for i, cfg in enumerate(cfgs_by[spec.name]):
-                key = (spec.name, i)
-                if key in points:
-                    continue
-                sat = known_sat.get(spec.name)
-                if sat is not None and i > sat:
-                    continue  # beyond a known saturated rate — never needed
-                tasks[key] = (cfg,)
-        if not tasks:
-            return points, {}
-        if self.batch > 1:
-            return self._run_parallel_batched(
-                cfgs_by, tasks, points, known_sat, note, journal
-            )
-
-        def on_result(key: _PointKey, point: SweepPoint, attempts: int):
-            panel, i = key
-            cfg = cfgs_by[panel][i]
-            if self.cache is not None:
-                self.cache.put(cfg, point)
-            self._journal_done(journal, panel, i, cfg, point, attempts=attempts)
-            before = known_sat.get(panel)
-            note(key, point)
-            after = known_sat.get(panel)
-            if after is not None and after != before:
-                # Saturation found (or moved earlier): drop queued points
-                # past it — the series is truncated there anyway.
-                return [
-                    (panel, j)
-                    for j in range(after + 1, len(cfgs_by[panel]))
-                    if (panel, j) in tasks
-                ]
-            return None
-
-        def on_retry(key: _PointKey, kind: str, attempt: int) -> None:
-            self._journal_retry(journal, key[0], key[1], kind, attempt)
-
-        _, task_failures = self.backend.run(
-            _simulate_point,
-            tasks,
-            policy=self.policy,
-            stats=self.stats,
-            on_result=on_result,
-            on_retry=on_retry,
-            store=self.cache,
-        )
-        failures: Dict[_PointKey, PointFailure] = {}
-        for key, tf in task_failures.items():
-            panel, i = key
-            cfg = cfgs_by[panel][i]
-            failure = PointFailure(
-                panel=panel,
-                index=i,
-                rate=cfg.rate,
-                kind=tf.kind,
-                attempts=tf.attempts,
-                message=tf.message,
-            )
-            failures[key] = failure
-            self._journal_failed(journal, failure, cfg)
-        return points, failures
-
-    def _run_parallel_batched(
-        self,
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        tasks: Dict[_PointKey, tuple],
-        points: Dict[_PointKey, SweepPoint],
-        known_sat: Dict[str, int],
-        note,
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Fan *chunks* of points onto the pool (``batch > 1``).
-
-        Pending points of each panel are grouped, in grid order, into
-        chunks of up to ``self.batch`` same-shape configurations; every
-        chunk is one pool task running :func:`_simulate_chunk`, keyed
-        (and journaled) by its first member.  A chunk retries or fails
-        as a unit, and chunks whose members all lie beyond a panel's
-        first saturated point are cancelled like individual points are.
-        """
-        chunk_members: Dict[_PointKey, List[_PointKey]] = {}
-        chunk_tasks: Dict[_PointKey, tuple] = {}
-        for panel in cfgs_by:
-            pending = [k for k in tasks if k[0] == panel]
-            pending.sort(key=lambda k: k[1])
+            last = first_sat.get(spec.name, len(cfgs_by[spec.name]) - 1)
+            pending = [
+                i for i in range(last + 1) if (spec.name, i) not in points
+            ]
             for j in range(0, len(pending), self.batch):
-                members = pending[j : j + self.batch]
-                ckey = members[0]
-                chunk_members[ckey] = members
-                chunk_tasks[ckey] = (
-                    [cfgs_by[panel][k[1]] for k in members],
-                )
-        if not chunk_tasks:
+                chunk = pending[j : j + self.batch]
+                members[(spec.name, chunk[0])] = chunk
+        if not members:
             return points, {}
 
-        def on_result(
-            ckey: _PointKey, pts: List[SweepPoint], attempts: int
-        ):
+        def on_result(ckey: _PointKey, pts: List[SweepPoint], attempts: int):
             panel = ckey[0]
-            before = known_sat.get(panel)
-            for key, point in zip(chunk_members[ckey], pts):
-                cfg = cfgs_by[panel][key[1]]
+            before = first_sat.get(panel)
+            for i, point in zip(members[ckey], pts):
+                cfg = cfgs_by[panel][i]
                 if self.cache is not None:
                     self.cache.put(cfg, point)
-                self._journal_done(
-                    journal, panel, key[1], cfg, point, attempts=attempts
-                )
-                note(key, point)
-            after = known_sat.get(panel)
-            if after is not None and after != before:
-                return [
-                    other
-                    for other, members in chunk_members.items()
-                    if other != ckey
-                    and other[0] == panel
-                    and all(m[1] > after for m in members)
-                ]
-            return None
+                record_done(panel, i, point, attempts, "simulated")
+                note((panel, i), point)
+            sat = first_sat.get(panel)
+            if sat is None or sat == before:
+                return None
+            # Saturation found (or moved earlier): the series truncates
+            # there, so chunks wholly past it are never needed.
+            return [
+                other
+                for other, idxs in members.items()
+                if other[0] == panel and idxs[0] > sat
+            ]
 
         def on_retry(ckey: _PointKey, kind: str, attempt: int) -> None:
-            self._journal_retry(journal, ckey[0], ckey[1], kind, attempt)
+            record(
+                {
+                    "event": "retry",
+                    "panel": ckey[0],
+                    "index": ckey[1],
+                    "kind": kind,
+                    "attempt": attempt,
+                }
+            )
 
-        _, task_failures = self.backend.run(
+        _, chunk_failures = self.backend.run(
             _simulate_chunk,
-            chunk_tasks,
+            {
+                ckey: ([cfgs_by[ckey[0]][i] for i in idxs],)
+                for ckey, idxs in members.items()
+            },
             policy=self.policy,
             stats=self.stats,
             on_result=on_result,
@@ -946,20 +598,30 @@ class SweepEngine:
             store=self.cache,
         )
         failures: Dict[_PointKey, PointFailure] = {}
-        for ckey, tf in task_failures.items():
-            panel = ckey[0]
-            for key in chunk_members[ckey]:
-                cfg = cfgs_by[panel][key[1]]
+        for (panel, first), tf in chunk_failures.items():
+            for i in members[(panel, first)]:
+                cfg = cfgs_by[panel][i]
                 failure = PointFailure(
                     panel=panel,
-                    index=key[1],
+                    index=i,
                     rate=cfg.rate,
                     kind=tf.kind,
                     attempts=tf.attempts,
                     message=tf.message,
                 )
-                failures[key] = failure
-                self._journal_failed(journal, failure, cfg)
+                failures[(panel, i)] = failure
+                record(
+                    {
+                        "event": "point",
+                        "status": "failed",
+                        "panel": panel,
+                        "index": i,
+                        "config": config_key(cfg)[:16],
+                        "kind": tf.kind,
+                        "attempts": tf.attempts,
+                        "message": tf.message,
+                    }
+                )
         return points, failures
 
     def _simulate_panels(
@@ -984,24 +646,15 @@ class SweepEngine:
         if use_journal:
             journal, done = self._open_journal(specs, cfgs_by, seed, resume)
         try:
-            # Distributed backends always take the campaign path: their
-            # parallelism is however many workers join, not self.jobs.
-            if self.jobs == 1 and self.backend.name == "local":
-                points, failures = self._campaign_sequential(
-                    specs, cfgs_by, done, journal
-                )
-            else:
-                points, failures = self._campaign_parallel(
-                    specs, cfgs_by, done, journal
-                )
+            points, failures = self._run_campaign(specs, cfgs_by, done, journal)
         finally:
             if journal is not None:
                 journal.close()
 
-        # Reassemble each panel in grid order with the sequential
-        # semantics: failures before the stop are recorded, the series
-        # truncates at its first saturated point, anything later is
-        # dropped — so jobs=1 and jobs=N agree bit for bit.
+        # Reassemble each panel in grid order: failures before the stop
+        # are recorded, the series truncates at its first saturated
+        # point, and anything later (computed or dropped) is left out —
+        # so every jobs/batch/backend combination agrees bit for bit.
         results: Dict[str, SweepResult] = {}
         for spec in specs:
             sweep = SweepResult(label=f"sim:{spec.name}")
@@ -1012,7 +665,7 @@ class SweepEngine:
                     continue
                 point = points.get(key)
                 if point is None:
-                    break  # past the stop (sequential) or cancelled (pool)
+                    break  # dropped past the panel's saturated point
                 sweep.points.append(point)
                 if point.saturated:
                     break
@@ -1075,16 +728,22 @@ class SweepEngine:
     ) -> Dict[str, PanelResult]:
         """Run several panels (e.g. a whole figure) as one campaign.
 
-        With ``jobs>1`` every uncached simulation point of every panel
-        is in flight on the same resilient executor, so a six-panel
-        figure keeps all workers busy instead of draining panel by
-        panel.  Results are keyed by panel name and identical to
-        per-panel runs.  Each point's status is checkpointed to the
-        campaign's JSONL journal as it completes; ``resume=True``
-        (default: the engine's ``resume`` setting) restores
-        checkpointed points of an interrupted earlier run instead of
-        recomputing them.
+        Every uncached simulation chunk of every panel goes to the
+        backend in one call, so with ``jobs>1`` a six-panel figure keeps
+        all workers busy instead of draining panel by panel.  Results
+        are keyed by panel name — which must therefore be unique — and
+        identical to per-panel runs.  Each point's status is
+        checkpointed to the campaign's JSONL journal as it completes;
+        ``resume=True`` (default: the engine's ``resume`` setting)
+        restores checkpointed points of an interrupted earlier run
+        instead of recomputing them.
         """
+        names = [spec.name for spec in specs]
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        if duplicates:
+            raise ValueError(
+                f"duplicate panel name(s) in one campaign: {', '.join(duplicates)}"
+            )
         resume = self.resume if resume is None else bool(resume)
         sims: Dict[str, SweepResult] = {}
         if simulate:

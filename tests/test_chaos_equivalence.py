@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-import repro.experiments.sweep as sweep_mod
+import repro.simulator.sim as sim_mod
 from repro.experiments import SweepEngine, point_seed
 from repro.faults import ENV_VAR, FaultPlan, FaultSpec
 from test_sweep_engine import tiny_panel
@@ -178,10 +178,10 @@ class TestResume:
         )
         n_reference = len(reference.simulation.points)  # 3: stops at sat
 
-        _CountingSim.real = sweep_mod.Simulation
+        _CountingSim.real = sim_mod.Simulation
         _CountingSim.calls = 0
         _CountingSim.interrupt_at = 3  # die while computing point 2
-        monkeypatch.setattr(sweep_mod, "Simulation", _CountingSim)
+        monkeypatch.setattr(sim_mod, "Simulation", _CountingSim)
 
         # The cache stays OFF throughout: resume must work from the
         # journal alone.
@@ -255,10 +255,10 @@ class TestResume:
         )
         engine.run_panel(spec, **SIM_KWARGS)
         # Without resume, the journal is truncated and everything re-runs.
-        _CountingSim.real = sweep_mod.Simulation
+        _CountingSim.real = sim_mod.Simulation
         _CountingSim.calls = 0
         _CountingSim.interrupt_at = None
-        monkeypatch.setattr(sweep_mod, "Simulation", _CountingSim)
+        monkeypatch.setattr(sim_mod, "Simulation", _CountingSim)
         fresh = SweepEngine(
             jobs=1, use_cache=False, cache_dir=tmp_path, resume=False
         ).run_panel(spec, **SIM_KWARGS)

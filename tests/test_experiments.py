@@ -10,14 +10,18 @@ from repro.experiments import (
     FIGURE1,
     FIGURE2,
     PanelResult,
+    SweepEngine,
     format_panel_table,
     get_panel,
-    run_panel,
-    run_panel_model_only,
     shape_metrics,
+    sim_jobs,
+    sim_measure_cycles,
 )
-from repro.experiments import sim_jobs
-from repro.experiments.runner import sim_measure_cycles
+
+
+def model_only(name):
+    """Model curve of one panel, no simulation, no cache."""
+    return SweepEngine(use_cache=False).run_panel(get_panel(name), simulate=False)
 
 
 class TestPanelSpecs:
@@ -69,7 +73,7 @@ class TestModelOnlyRuns:
         """Every panel's model curve must rise monotonically and
         saturate within the grid (the paper drew each panel up to its
         saturation region)."""
-        result = run_panel_model_only(get_panel(name))
+        result = model_only(name)
         lats = [p.latency for p in result.model.points]
         finite = [x for x in lats if math.isfinite(x)]
         assert len(finite) >= 3, "grid too coarse at the low end"
@@ -79,7 +83,7 @@ class TestModelOnlyRuns:
         )
 
     def test_table_formatting(self):
-        result = run_panel_model_only(get_panel("fig1_h20"))
+        result = model_only("fig1_h20")
         table = format_panel_table(result)
         assert "Figure 1" in table
         assert "saturated" in table
@@ -90,7 +94,7 @@ class TestSimulatedRuns:
     def test_small_run_and_metrics(self):
         # Tiny measurement window: checks plumbing, not statistics.
         spec = get_panel("fig1_h70")
-        result = run_panel(
+        result = SweepEngine(use_cache=False).run_panel(
             spec, measure_cycles=6_000, warmup_cycles=1_000, seed=5
         )
         assert result.simulation is not None
@@ -101,7 +105,7 @@ class TestSimulatedRuns:
         assert len(rows) == len(result.model.points)
 
     def test_shape_metrics_requires_sim(self):
-        result = run_panel_model_only(get_panel("fig1_h20"))
+        result = model_only("fig1_h20")
         with pytest.raises(ValueError):
             shape_metrics(result)
 

@@ -22,7 +22,12 @@ import pytest
 from repro.backends import FileQueueBackend, LocalPoolBackend, resolve_backend
 from repro.backends import filequeue as fq
 from repro.backends.worker import FileQueueWorker
-from repro.experiments.sweep import SweepEngine, _simulate_point, point_seed
+from repro.experiments.sweep import (
+    SweepEngine,
+    _simulate_chunk,
+    _simulate_point,
+    point_seed,
+)
 from repro.resilience import ExecutorStats, RetryPolicy
 from repro.simulator.config import SimulationConfig
 from repro.store import atomic_write_json
@@ -58,7 +63,6 @@ def publish_unit(root, uid, cfg, attempt=0):
         {
             "protocol": fq.PROTOCOL_VERSION,
             "unit": uid,
-            "mode": "point",
             "attempt": attempt,
             "configs": [asdict(cfg)],
         },
@@ -118,6 +122,18 @@ class TestClaiming:
         _, body, lease = claim1
         assert body["unit"] == "u-0"
         assert fq.read_json(lease)["worker"] == "w1"
+
+    def test_foreign_protocol_unit_never_claimed(self, tmp_path):
+        """A unit of another protocol version is left alone."""
+        fq.ensure_layout(tmp_path)
+        publish_unit(tmp_path, "u-old", tiny_cfg())
+        qf = fq.queue_dir(tmp_path) / "u-old.json"
+        body = fq.read_json(qf)
+        assert "mode" not in body
+        body["protocol"] = fq.PROTOCOL_VERSION - 1
+        atomic_write_json(qf, body)
+        assert make_worker(tmp_path, worker_id="w1")._claim_next() is None
+        assert not fq.lease_path_for(qf).exists()
 
     def test_claim_released_when_unit_retracted(self, tmp_path):
         """Winning the lease of a just-retracted unit releases it again."""
@@ -212,7 +228,7 @@ class TestCoordinator:
 
         def target():
             out["result"] = backend.run(
-                _simulate_point, tasks, policy=policy, stats=stats, **kw
+                _simulate_chunk, tasks, policy=policy, stats=stats, **kw
             )
 
         thread = threading.Thread(target=target)
@@ -231,7 +247,7 @@ class TestCoordinator:
             speculate_factor=None,
         )
         cfg = tiny_cfg()
-        thread, out, stats = self.run_backend(backend, {("p", 0): (cfg,)})
+        thread, out, stats = self.run_backend(backend, {("p", 0): ([cfg],)})
         try:
             deadline = time.time() + 10.0
             queue_file = None
@@ -273,7 +289,7 @@ class TestCoordinator:
             thread.join(timeout=30.0)
         results, failures = out["result"]
         assert failures == {}
-        assert results[("p", 0)] == _simulate_point(cfg)
+        assert results[("p", 0)] == [_simulate_point(cfg)]
         assert campaign_leftovers(tmp_path) == []
 
     def test_speculation_both_copies_finish_first_wins(self, tmp_path):
@@ -289,7 +305,7 @@ class TestCoordinator:
         )
         cfg_fast = tiny_cfg(rate=0.002, index=0)
         cfg_slow = tiny_cfg(rate=0.01, index=1)
-        tasks = {("p", 0): (cfg_fast,), ("p", 1): (cfg_slow,)}
+        tasks = {("p", 0): ([cfg_fast],), ("p", 1): ([cfg_slow],)}
         worker = make_worker(tmp_path, worker_id="fleet")
         thread, out, stats = self.run_backend(backend, tasks)
         wt = None
@@ -355,8 +371,8 @@ class TestCoordinator:
         results, failures = out["result"]
         assert failures == {}
         # Both copies' payloads are the same deterministic point.
-        assert results[("p", 0)] == _simulate_point(cfg_fast)
-        assert results[("p", 1)] == _simulate_point(cfg_slow)
+        assert results[("p", 0)] == [_simulate_point(cfg_fast)]
+        assert results[("p", 1)] == [_simulate_point(cfg_slow)]
         assert stats.submitted == 3  # two units + one speculative copy
         assert stats.completed == 2
         assert stats.retries == 0  # speculation is not a charged attempt

@@ -22,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import get_panel, run_panel_model_only
+from repro.experiments import SweepEngine, get_panel
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -54,7 +54,8 @@ def test_model_curve_matches_golden(name):
     golden = load_golden_model_curve(name)
     assert len(golden) >= 6, f"golden table for {name} is malformed"
 
-    result = run_panel_model_only(get_panel(name))
+    engine = SweepEngine(use_cache=False)
+    result = engine.run_panel(get_panel(name), simulate=False)
     points = result.model.points
     assert len(points) == len(golden), "grid changed: regenerate the goldens"
 

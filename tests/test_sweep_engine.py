@@ -2,8 +2,11 @@
 
 The load-bearing guarantees:
 
-* ``jobs > 1`` produces **bit-identical** results to the sequential
-  ``jobs = 1`` path, including the stop-at-first-saturation truncation;
+* every ``jobs`` × ``batch`` combination produces **bit-identical**
+  results, journals and store contents, including the
+  stop-at-first-saturation truncation;
+* ``jobs = 1`` runs in process, in order, and never runs a config past
+  the first saturated point;
 * per-point seeds are deterministic (process- and run-independent);
 * the on-disk cache returns exactly what was computed and is bypassed
   cleanly with ``use_cache=False``;
@@ -23,9 +26,12 @@ import time
 import pytest
 
 import repro.experiments.sweep as sweep_mod
+import repro.simulator.sim as sim_mod
 from repro.core.model import HotSpotLatencyModel
 from repro.core.uniform import UniformLatencyModel
 from repro.experiments import PanelSpec, SweepEngine, get_panel, point_seed
+from repro.resilience import CheckpointJournal
+from repro.store import config_key, payload_checksum
 
 
 def tiny_panel(name="tiny", rates=(0.002, 0.01, 0.12, 0.18)):
@@ -47,14 +53,77 @@ def tiny_panel(name="tiny", rates=(0.002, 0.01, 0.12, 0.18)):
     )
 
 
+def journal_done_keys(engine):
+    """``(panel, index)`` of every ``done`` record in the engine's journals."""
+    keys = set()
+    for path in engine.journal_dir().glob("*.jsonl"):
+        _header, entries = CheckpointJournal.load(path)
+        keys |= {
+            (e["panel"], e["index"])
+            for e in entries
+            if e.get("event") == "point" and e.get("status") == "done"
+        }
+    return keys
+
+
+#: Matrix panels: "m_a" saturates at index 4 with one point past it,
+#: "m_b" saturates at its last point.
+MATRIX_SPECS = (
+    tiny_panel("m_a", rates=(0.002, 0.005, 0.01, 0.02, 0.12, 0.18)),
+    tiny_panel("m_b", rates=(0.004, 0.15)),
+)
+MATRIX_KWARGS = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
+
+
+def _matrix_run(cache_dir, jobs, batch):
+    """Sweep results, journal ``done`` keys and store keys of one run.
+
+    Journal and store keys are kept only up to each panel's first
+    saturated point: a point past it is computed or not depending on
+    chunking and pool timing (a chunk straddling the saturated point
+    runs whole; a pool may finish a later point before the saturated
+    one reports), and it never reaches the returned series.
+    """
+    engine = SweepEngine(jobs=jobs, batch=batch, cache_dir=cache_dir)
+    results = engine.run_panels(MATRIX_SPECS, **MATRIX_KWARGS)
+    sims = {name: r.simulation for name, r in results.items()}
+    kw = MATRIX_KWARGS
+    kept = {
+        (spec.name, i): cfg
+        for spec in MATRIX_SPECS
+        for i, cfg in enumerate(
+            engine._panel_configs(
+                spec, kw["seed"], kw["measure_cycles"], kw["warmup_cycles"]
+            )
+        )
+        if i < len(sims[spec.name].points)
+    }
+    store = {f.stem for f in cache_dir.glob("*.json")}
+    return (
+        sims,
+        journal_done_keys(engine) & kept.keys(),
+        store & {config_key(cfg) for cfg in kept.values()},
+    )
+
+
+@pytest.fixture(scope="module")
+def matrix_reference(tmp_path_factory):
+    return _matrix_run(tmp_path_factory.mktemp("reference"), 1, 1)
+
+
 class TestDeterminism:
-    def test_parallel_bit_identical_to_sequential(self):
-        spec = tiny_panel()
-        kwargs = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
-        seq = SweepEngine(jobs=1, use_cache=False).run_panel(spec, **kwargs)
-        par = SweepEngine(jobs=4, use_cache=False).run_panel(spec, **kwargs)
-        assert seq.model == par.model
-        assert seq.simulation == par.simulation  # bit-identical points
+    @pytest.mark.parametrize("jobs", [1, 2], ids=lambda j: f"jobs{j}")
+    @pytest.mark.parametrize("batch", [1, 3], ids=lambda b: f"batch{b}")
+    def test_jobs_batch_matrix_bit_identical(
+        self, tmp_path, matrix_reference, jobs, batch
+    ):
+        sims, done, keys = _matrix_run(tmp_path, jobs, batch)
+        ref_sims, ref_done, ref_keys = matrix_reference
+        assert sims == ref_sims  # bit-identical points, same truncation
+        assert [len(s.points) for s in sims.values()] == [5, 2]
+        assert all(s.points[-1].saturated for s in sims.values())
+        assert done == ref_done and len(done) == 7
+        assert keys == ref_keys and len(keys) == 7
 
     def test_stops_at_first_saturation(self):
         spec = tiny_panel()
@@ -106,6 +175,71 @@ class TestPointSeeds:
         assert point_seed(42, "fig1_h20", 1) == 9297857992161947417
 
 
+class TestInProcessRun:
+    """``jobs=1`` runs chunks in process through the local backend."""
+
+    def test_no_config_past_first_saturated_point(self, monkeypatch):
+        spec = tiny_panel()  # index 2 is the first saturated rate
+        ran = []
+        real = sweep_mod.run_batch
+
+        def recording(cfgs):
+            ran.extend(cfg.rate for cfg in cfgs)
+            return real(cfgs)
+
+        monkeypatch.setattr(sweep_mod, "run_batch", recording)
+        result = SweepEngine(jobs=1, batch=1, use_cache=False).run_panel(
+            spec, seed=7, measure_cycles=3_000, warmup_cycles=500
+        )
+        assert result.simulation.points[-1].saturated
+        assert ran == list(spec.rates[:3])
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=lambda j: f"jobs{j}")
+    def test_fail_once_then_succeed_retries_once(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        spec = tiny_panel(rates=(0.002, 0.01))
+        marker = tmp_path / "failed-once"  # visible to forked pool workers
+        real = sim_mod.Simulation
+
+        class FlakyOnce(real):
+            def run(self):
+                if self.config.rate == spec.rates[1] and not marker.exists():
+                    marker.touch()
+                    raise RuntimeError("transient")
+                return super().run()
+
+        monkeypatch.setattr(sim_mod, "Simulation", FlakyOnce)
+        engine = SweepEngine(
+            jobs=jobs, cache_dir=tmp_path / "store", backoff_base=0.001
+        )
+        result = engine.run_panel(
+            spec, seed=7, measure_cycles=3_000, warmup_cycles=500
+        )
+        assert marker.exists()
+        assert not result.simulation.failures
+        assert len(result.simulation.points) == 2
+        assert engine.stats.retries == 1
+        retries = [
+            e
+            for path in engine.journal_dir().glob("*.jsonl")
+            for e in CheckpointJournal.load(path)[1]
+            if e.get("event") == "retry"
+        ]
+        assert len(retries) == 1
+        assert (retries[0]["index"], retries[0]["attempt"]) == (1, 0)
+
+
+class TestDuplicatePanels:
+    def test_duplicate_panel_names_rejected(self):
+        specs = [tiny_panel("x"), tiny_panel("x", rates=(0.004,))]
+        engine = SweepEngine(use_cache=False)
+        with pytest.raises(ValueError, match="duplicate panel name.*x"):
+            engine.run_panels(specs, simulate=False)
+        with pytest.raises(ValueError, match="duplicate panel name.*x"):
+            engine.run_panels(specs, measure_cycles=3_000, warmup_cycles=500)
+
+
 class TestCache:
     def test_second_run_served_from_cache(self, tmp_path, monkeypatch):
         spec = tiny_panel()
@@ -118,7 +252,7 @@ class TestCache:
             def __init__(self, *a, **k):
                 raise AssertionError("cache miss: simulation was re-run")
 
-        monkeypatch.setattr(sweep_mod, "Simulation", Boom)
+        monkeypatch.setattr(sim_mod, "Simulation", Boom)
         second = engine.run_panel(spec, **kwargs)
         assert second.simulation == first.simulation
 
@@ -158,7 +292,7 @@ class TestCache:
             def __init__(self, *a, **k):
                 raise AssertionError("cache miss")
 
-        monkeypatch.setattr(sweep_mod, "Simulation", Boom)
+        monkeypatch.setattr(sim_mod, "Simulation", Boom)
         second = engine.run_panel(spec, **kwargs)
         assert second.simulation == first.simulation
 
@@ -225,7 +359,7 @@ class TestCacheHardening:
         for f in entries:
             body = json.loads(f.read_text())
             body["payload"]["latency"] = "fast"
-            body["checksum"] = sweep_mod._payload_checksum(body["payload"])
+            body["checksum"] = payload_checksum(body["payload"])
             f.write_text(json.dumps(body))
         self._assert_recovered(tmp_path, spec, kwargs, first, "fields")
 
@@ -234,7 +368,7 @@ class TestCacheHardening:
         for f in entries:
             body = json.loads(f.read_text())
             body["payload"]["latency"] = True
-            body["checksum"] = sweep_mod._payload_checksum(body["payload"])
+            body["checksum"] = payload_checksum(body["payload"])
             f.write_text(json.dumps(body))
         self._assert_recovered(tmp_path, spec, kwargs, first, "fields")
 
@@ -308,9 +442,9 @@ class _CrashingSim(_FailingSim):
 class TestFailureRecords:
     def test_failed_point_recorded_others_survive(self, monkeypatch):
         spec = tiny_panel()
-        _FailingSim.real = sweep_mod.Simulation
+        _FailingSim.real = sim_mod.Simulation
         _FailingSim.bad_rate = spec.rates[1]
-        monkeypatch.setattr(sweep_mod, "Simulation", _FailingSim)
+        monkeypatch.setattr(sim_mod, "Simulation", _FailingSim)
         engine = SweepEngine(
             jobs=1, use_cache=False, max_retries=1, backoff_base=0.001
         )
@@ -340,9 +474,9 @@ class TestFailureRecords:
         # survives — and is already in the cache, having been written the
         # moment its future resolved.
         spec = tiny_panel()
-        _CrashingSim.real = sweep_mod.Simulation
+        _CrashingSim.real = sim_mod.Simulation
         _CrashingSim.bad_rate = spec.rates[1]
-        monkeypatch.setattr(sweep_mod, "Simulation", _CrashingSim)
+        monkeypatch.setattr(sim_mod, "Simulation", _CrashingSim)
         engine = SweepEngine(
             jobs=2,
             use_cache=True,
@@ -364,7 +498,7 @@ class TestFailureRecords:
         )
 
         # The undamaged points match a fault-free sequential run.
-        monkeypatch.setattr(sweep_mod, "Simulation", _CrashingSim.real)
+        monkeypatch.setattr(sim_mod, "Simulation", _CrashingSim.real)
         clean = SweepEngine(jobs=1, use_cache=False).run_panel(
             spec, seed=7, measure_cycles=3_000, warmup_cycles=500
         )
@@ -374,9 +508,9 @@ class TestFailureRecords:
 
     def test_parallel_failure_matches_sequential(self, monkeypatch):
         spec = tiny_panel()
-        _FailingSim.real = sweep_mod.Simulation
+        _FailingSim.real = sim_mod.Simulation
         _FailingSim.bad_rate = spec.rates[0]
-        monkeypatch.setattr(sweep_mod, "Simulation", _FailingSim)
+        monkeypatch.setattr(sim_mod, "Simulation", _FailingSim)
         kwargs = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
         seq = SweepEngine(
             jobs=1, use_cache=False, max_retries=0
@@ -465,23 +599,6 @@ class TestBatchedSweeps:
     """``batch > 1`` chunks points onto the batched engine, results equal."""
 
     KWARGS = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
-
-    def test_sequential_batched_bit_identical(self):
-        spec = tiny_panel()
-        ref = SweepEngine(jobs=1, use_cache=False).run_panel(spec, **self.KWARGS)
-        for batch in (2, 3, 8):
-            got = SweepEngine(jobs=1, batch=batch, use_cache=False).run_panel(
-                spec, **self.KWARGS
-            )
-            assert got.simulation == ref.simulation, f"batch={batch}"
-
-    def test_parallel_batched_bit_identical(self):
-        spec = tiny_panel()
-        ref = SweepEngine(jobs=1, use_cache=False).run_panel(spec, **self.KWARGS)
-        got = SweepEngine(jobs=2, batch=2, use_cache=False).run_panel(
-            spec, **self.KWARGS
-        )
-        assert got.simulation == ref.simulation
 
     def test_batched_run_populates_cache(self, tmp_path, monkeypatch):
         spec = tiny_panel()
