@@ -16,8 +16,8 @@ and every backend must be indistinguishable from it result-wise:
 
 * retried units re-run identical configurations, so results are
   bit-identical to a fault-free run on any backend;
-* ``on_result`` streams each completion (the engine checkpoints and
-  caches there) and may return keys to *drop* (cancel);
+* ``on_result`` streams each completion (the engine journals it
+  there) and may return keys to *drop* (cancel);
 * terminal failures surface as :class:`~repro.resilience.TaskFailure`
   records, never exceptions — one bad unit cannot discard a campaign.
 
@@ -52,7 +52,6 @@ class SweepBackend(ABC):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
         """Run every task to completion or terminal failure.
 
@@ -60,11 +59,11 @@ class SweepBackend(ABC):
         ``fn(*tasks[key], attempt)`` is the unit of work, ``on_result``
         streams completions (and may return keys to drop), ``on_retry``
         observes every charged non-terminal failure, ``policy`` budgets
-        retries/timeouts and ``stats`` accumulates counters.  ``store``
-        is the campaign's shared :class:`~repro.store.ResultStore` (or
-        ``None``): distributed backends advertise it to their workers so
-        completed points are persisted at the worker, not just at the
-        coordinator.
+        retries/timeouts and ``stats`` accumulates counters.  A unit's
+        arguments are everything it needs — for a sweep chunk, its
+        configs and the result-store root it writes its points to — so
+        the unit persists its own results wherever it runs and the
+        backend stores nothing.
 
         Returns ``(results, failures)`` keyed like ``tasks``; every
         non-dropped key appears in exactly one of the two mappings.

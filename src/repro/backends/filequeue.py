@@ -12,10 +12,12 @@ Campaign directory layout
 ::
 
     <campaign-dir>/
-      meta.json            campaign header (protocol version, store path)
-      queue/<unit>.json    work units (lists of configs) awaiting claim
+      meta.json            campaign header (protocol version, campaign id)
+      queue/<unit>.json    work units awaiting claim: configs plus the
+                           result-store root the worker writes points to
       leases/<unit>.lease  claims: O_CREAT|O_EXCL created by one winner
-      results/<unit>.json  completed payloads (atomic tmp+rename)
+      results/<unit>.json  reply messages: points or a worker error
+                           (atomic tmp+rename), deleted once consumed
       heartbeats/<id>.json one per live worker, refreshed on a timer
       corrupt/             quarantined undecodable lease/result files
       logs/                stdout/stderr of coordinator-spawned workers
@@ -52,6 +54,10 @@ Protocol
 * **Determinism**: a unit computes the same points on every host, every
   attempt, every copy — campaigns with injected worker kills are
   bit-identical to clean single-process runs.
+* **Persistence**: the worker that computes a unit writes its points to
+  the result store the unit body names (none when the campaign runs
+  without a store); the coordinator writes no points.  A ``results/``
+  reply only carries the points back and is deleted once consumed.
 
 One coordinator per campaign directory at a time; workers may outlive
 campaigns and serve the next one (the ``stop`` sentinel is only written
@@ -91,7 +97,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk campaign protocol changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Grace before an *undecodable* lease is quarantined: its writer may be
 #: mid-write right now (the O_EXCL create and the payload write are two
@@ -307,6 +313,7 @@ class _Unit:
     uid: str
     key: Hashable
     cfgs: List[SimulationConfig]
+    store: Optional[str]  # result-store root the worker writes to
     attempt: int = 0  # charged attempts so far
     requeue_at: Optional[float] = None  # backoff gate for republish
     first_claim: Optional[float] = None
@@ -400,6 +407,7 @@ class FileQueueBackend(SweepBackend):
             "unit": unit.uid,
             "attempt": unit.attempt,
             "configs": [asdict(c) for c in unit.cfgs],
+            "store": unit.store,
         }
 
     def _publish(
@@ -470,10 +478,10 @@ class FileQueueBackend(SweepBackend):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
         # ``fn`` executes on the *worker* side (workers run the engine's
-        # own chunk function on each unit's configs), so it is unused here.
+        # own chunk function on each unit's ``(configs, store root)``
+        # arguments), so it is unused here.
         del fn
         ensure_layout(self.root)
         sweep_stale(
@@ -509,7 +517,6 @@ class FileQueueBackend(SweepBackend):
             {
                 "protocol": PROTOCOL_VERSION,
                 "campaign": campaign,
-                "store": str(getattr(store, "root", "")) or None,
                 "created": time.time(),
             },
         )
@@ -517,7 +524,9 @@ class FileQueueBackend(SweepBackend):
         by_key: Dict[Hashable, str] = {}
         for i, key in enumerate(keys):
             uid = f"{campaign}-{i:05d}"
-            units[uid] = _Unit(uid=uid, key=key, cfgs=cfgs_by_key[key])
+            units[uid] = _Unit(
+                uid=uid, key=key, cfgs=cfgs_by_key[key], store=tasks[key][1]
+            )
             by_key[key] = uid
 
         results: Dict[Hashable, object] = {}

@@ -52,10 +52,7 @@ class LocalPoolBackend(SweepBackend):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
-        # ``store`` is unused: the engine itself caches completions via
-        # on_result, and pool workers share the engine's process image.
         if self.jobs > 1:
             executor = ResilientExecutor(self.jobs, policy, stats=stats)
             return executor.run(fn, tasks, on_result=on_result, on_retry=on_retry)

@@ -11,14 +11,19 @@ directory — run the same loop:
    re-read the queue file — it is authoritative for the attempt number
    and may have been retracted by the coordinator in between — and
    release the lease if the unit vanished.
-2. **Compute**: run the unit's configurations through the engine's own
-   chunk function (:func:`~repro.experiments.sweep._simulate_chunk`), so
-   a distributed point is bit-identical to a local one.
-3. **Persist**: write each completed point to the campaign's shared
-   :class:`~repro.store.ResultStore` (if ``meta.json`` names one), then
-   publish ``results/<unit>.json`` with an atomic tmp+rename — *before*
-   releasing the lease, so there is no window where a unit is neither
-   leased nor resolved.
+2. **Compute and persist**: run the unit's configurations through the
+   engine's own chunk function
+   (:func:`~repro.experiments.sweep._simulate_chunk`), so a distributed
+   point is bit-identical to a local one.  It writes each point to the
+   shared :class:`~repro.store.ResultStore` whose root the unit body
+   names (none when the campaign runs without a store) — the only write
+   of that point anywhere.
+3. **Reply**: publish ``results/<unit>.json`` with an atomic
+   tmp+rename (:func:`publish_result`) — *before* releasing the lease,
+   so there is no window where a unit is neither leased nor resolved.
+   If the coordinator has already ended the campaign and swept the
+   tmp file, the unit was resolved without this copy; the reply is
+   dropped and the worker serves on.
 4. **Release**: delete the lease only if this worker still owns it (the
    coordinator may have broken it; a ``lease-steal`` fault certainly
    has).
@@ -60,7 +65,6 @@ from repro.backends.filequeue import (
     heartbeats_dir,
     lease_path_for,
     leases_dir,
-    meta_path,
     queue_dir,
     read_json,
     release_lease,
@@ -68,9 +72,22 @@ from repro.backends.filequeue import (
     stop_path,
     try_claim,
 )
-from repro.store import ResultStore, atomic_write_json
+from repro.store import atomic_write_json
 
-__all__ = ["FileQueueWorker"]
+__all__ = ["FileQueueWorker", "publish_result"]
+
+
+def publish_result(root: Path, uid: str, payload: dict) -> None:
+    """Publish a unit's reply as ``results/<uid>.json`` (atomic tmp+rename).
+
+    A tmp file that vanishes before its rename was swept by the
+    coordinator's end-of-campaign cleanup: the unit is already resolved,
+    so the reply is dropped instead of raised.
+    """
+    try:
+        atomic_write_json(results_dir(root) / f"{uid}.json", payload)
+    except FileNotFoundError:
+        pass
 
 
 class _Heartbeat(threading.Thread):
@@ -166,7 +183,6 @@ class FileQueueWorker:
         self.held_lease: Optional[Path] = None
         self.units_done = 0
         self._stop = False
-        self._store: Optional[ResultStore] = None
         self._heartbeat: Optional[_Heartbeat] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -176,16 +192,6 @@ class FileQueueWorker:
 
     def _draining(self) -> bool:
         return self._stop or stop_path(self.root).exists()
-
-    def _campaign_store(self) -> Optional[ResultStore]:
-        """The shared result store named by ``meta.json`` (re-checked
-        until one appears, so a worker may start before the coordinator)."""
-        if self._store is None:
-            meta = read_json(meta_path(self.root))
-            store_root = (meta or {}).get("store")
-            if store_root:
-                self._store = ResultStore(store_root)
-        return self._store
 
     # -- claim ----------------------------------------------------------
     def _claim_next(self) -> Optional[Tuple[Path, dict, Path]]:
@@ -244,12 +250,8 @@ class FileQueueWorker:
             self._maybe_steal_lease(fault_key, attempt)
             self._maybe_stall(fault_key, attempt)
             started = time.monotonic()
-            points = _simulate_chunk(cfgs, attempt)
+            points = _simulate_chunk(cfgs, body.get("store"), attempt)
             seconds = time.monotonic() - started
-            store = self._campaign_store()
-            if store is not None:
-                for cfg, point in zip(cfgs, points):
-                    store.put(cfg, point)
             return {
                 "protocol": PROTOCOL_VERSION,
                 "unit": uid,
@@ -342,9 +344,7 @@ class FileQueueWorker:
                     # Publish the result *before* releasing the lease:
                     # there is never a moment where the unit is neither
                     # leased nor resolved.
-                    atomic_write_json(
-                        results_dir(self.root) / f"{body['unit']}.json", result
-                    )
+                    publish_result(self.root, body["unit"], result)
                 finally:
                     self.held_lease = None
                 release_lease(lease, self.worker_id)

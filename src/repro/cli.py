@@ -15,18 +15,17 @@ Commands
 (:class:`repro.experiments.sweep.SweepEngine`): ``--jobs N`` fans the
 simulation points out over N worker processes (results are bit-identical
 to ``--jobs 1``), and completed points are cached on disk under
-``$REPRO_CACHE_DIR`` (default ``~/.cache/repro/sweeps``) so re-running a
-figure is near-free; ``--no-cache`` bypasses the cache.
+``$REPRO_CACHE_DIR`` (default ``~/.cache/repro/sweeps``) as they finish,
+so re-running a figure — or an interrupted run — computes only the
+points it is missing; ``--no-cache`` bypasses the cache.
 
 Sweeps are fault-tolerant: each simulation point is retried up to
 ``--max-retries`` times with capped exponential backoff (retried points
-re-run the same per-point seed, so results stay bit-identical), a hung
-point is killed after ``--point-timeout`` seconds, and every completed
-point is checkpointed to a JSONL journal next to the cache — an
-interrupted ``panel``/``figure`` run re-invoked with ``--resume`` picks
-up where it left off.  Points that exhaust their retry budget are
-reported per panel and fail the command (exit 1) unless
-``--allow-failures`` opts back into shipping a partial sweep.
+re-run the same per-point seed, so results stay bit-identical), and a
+hung point is killed after ``--point-timeout`` seconds.  Points that
+exhaust their retry budget are reported per panel and fail the command
+(exit 1) unless ``--allow-failures`` opts back into shipping a partial
+sweep.
 
 ``--backend file:<campaign-dir>`` (or ``REPRO_BACKEND``) runs the sweep
 on the distributed file-queue backend: start ``repro worker
@@ -83,6 +82,31 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {raw}"
+        )
+    return value
+
+
+def _rate(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative and finite, got {raw}"
+        )
+    return value
+
+
 def _add_network_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=16, help="radix (k x k torus)")
     p.add_argument("--lm", type=int, default=32, help="message length in flits")
@@ -103,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="evaluate the analytical model")
     _add_network_args(p_model)
-    p_model.add_argument("--rate", type=float, help="one load (messages/cycle/node)")
+    p_model.add_argument("--rate", type=_rate, help="one load (messages/cycle/node)")
     p_model.add_argument(
         "--sweep", type=int, metavar="N", help="sweep N loads up to saturation"
     )
@@ -119,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one flit-level simulation")
     _add_network_args(p_sim)
-    p_sim.add_argument("--rate", type=float, required=True)
+    p_sim.add_argument("--rate", type=_rate, required=True)
     p_sim.add_argument("--cycles", type=int, default=120_000, help="measured cycles")
     p_sim.add_argument("--warmup", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -149,15 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the on-disk sweep result cache")
         p.add_argument("--seed", type=int, default=42,
                        help="base seed for the per-point simulation seeds")
-        p.add_argument("--max-retries", type=int, default=2, metavar="N",
+        p.add_argument("--max-retries", type=_nonnegative_int, default=2,
+                       metavar="N",
                        help="extra attempts per simulation point (default 2)")
-        p.add_argument("--point-timeout", type=float, default=None,
+        p.add_argument("--point-timeout", type=_positive_float, default=None,
                        metavar="SECS",
                        help="wall-clock seconds per point attempt before the "
                        "worker is presumed hung (needs --jobs > 1)")
-        p.add_argument("--resume", action="store_true",
-                       help="restore checkpointed points of an interrupted "
-                       "run from the campaign journal")
         p.add_argument("--backend", default=None, metavar="SEL",
                        help="sweep backend: 'local' (default; also "
                        "$REPRO_BACKEND) or 'file:<campaign-dir>' for the "
@@ -338,7 +360,6 @@ def _sweep_engine(args: argparse.Namespace) -> SweepEngine:
         use_cache=not args.no_cache,
         max_retries=args.max_retries,
         point_timeout=args.point_timeout,
-        resume=args.resume,
         backend=args.backend,
     )
 

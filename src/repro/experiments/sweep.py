@@ -8,18 +8,17 @@ One campaign loop
     :meth:`SweepEngine.run_panels` simulates every panel of a call as
     one campaign, in three steps:
 
-    1. Points restored from a resumed journal, or found in the result
-       store, are noted first; every store hit is journaled with
-       ``source: "cache"``.
+    1. Points found in the result store are noted first; every store
+       hit is journaled with ``source: "cache"``.
     2. The remaining points of each panel — up to its first *known*
        saturated point — are cut, in grid order, into chunks of
        ``batch`` points (one point each with ``batch=1``).  A chunk is
        keyed by its first member.
     3. Every chunk goes through one :meth:`~repro.backends.SweepBackend
-       .run` call with :func:`_simulate_chunk` as the unit of work.  As
-       each chunk completes, its points are cached and journaled, and
-       any queued chunk lying entirely past the panel's first saturated
-       point is dropped.
+       .run` call with :func:`_simulate_chunk` as the unit of work,
+       which writes each point it computes to the store.  As each chunk
+       completes, its points are journaled, and any queued chunk lying
+       entirely past the panel's first saturated point is dropped.
 
     Each series is then truncated at its first saturated point.  Every
     grid point has a *deterministic per-point seed* derived from
@@ -52,12 +51,15 @@ Fault tolerance
     chaos-tests exactly these paths.
 
 Resumable campaigns
-    Every point's status is appended to a JSONL checkpoint journal
-    (:class:`~repro.resilience.CheckpointJournal`) under
-    ``<cache dir>/journal/<campaign-hash>.jsonl``.  An interrupted
-    campaign re-run with ``resume=True`` (CLI ``--resume``) restores
-    every checkpointed point from the journal — even with the result
-    cache disabled — and computes only the remainder.
+    The result store is the one durable record of a finished point:
+    the process that computes a point writes it there once.  An
+    interrupted campaign simply re-run with the store on finds every
+    point finished before the interruption and computes only the rest.
+    Each run also writes a JSONL event log of its points (``done`` with
+    their ``source``, ``failed``) and retries
+    (:class:`~repro.resilience.CheckpointJournal`) to
+    ``<cache dir>/journal/<campaign-hash>.jsonl``, replacing the
+    previous run's log; results never read it back.
 
 Batched, warm-started model sweeps
     Successive grid points differ only in the injection rate, so the
@@ -74,10 +76,11 @@ On-disk result cache
     full :class:`~repro.simulator.config.SimulationConfig`.  Corrupt,
     truncated or stale-schema entries are quarantined and recomputed,
     stale ``*.tmp`` files are swept on engine startup, and writers are
-    concurrency-safe, so file-queue workers on other hosts populate the
-    same store the engine reads.  It lives in ``$REPRO_CACHE_DIR`` when
-    set, else ``~/.cache/repro/sweeps``; ``use_cache=False`` (CLI
-    ``--no-cache``) bypasses it entirely.
+    concurrency-safe, so pool workers and file-queue workers on other
+    hosts write into the same store the engine reads.  It lives in
+    ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro/sweeps``;
+    ``use_cache=False`` (CLI ``--no-cache``) bypasses it — and the
+    journal — entirely.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ from repro.core.model import HotSpotLatencyModel
 from repro.core.results import SweepPoint, SweepResult
 from repro.experiments.figures import PanelSpec
 from repro.resilience import (
+    JOURNAL_VERSION,
     CheckpointJournal,
     ExecutorStats,
     PointFailure,
@@ -113,10 +117,6 @@ __all__ = [
     "sim_jobs",
     "sim_measure_cycles",
 ]
-
-#: Bump when the checkpoint-journal campaign format changes.
-_JOURNAL_VERSION = 1
-
 
 def _env_int(name: str, default: int, minimum: int) -> int:
     """Integer environment variable ``name``, or ``default`` when unset.
@@ -214,7 +214,9 @@ def _simulate_point(cfg: SimulationConfig, attempt: int = 0) -> SweepPoint:
 
 
 def _simulate_chunk(
-    cfgs: Sequence[SimulationConfig], attempt: int = 0
+    cfgs: Sequence[SimulationConfig],
+    store_root: Optional[str],
+    attempt: int = 0,
 ) -> List[SweepPoint]:
     """The campaign unit of work: one chunk of configs -> its sweep points.
 
@@ -225,16 +227,23 @@ def _simulate_chunk(
     the same config, so every ``batch`` size shares one cache.  Fault
     injection is keyed on the first config's seed — a chunk retries as
     a unit.
+
+    Each point is written to the :class:`~repro.store.ResultStore` at
+    ``store_root`` (unless ``None``) by the process that computed it —
+    in process, in a pool worker or in a ``repro worker`` — and nowhere
+    else, so the store holds exactly one record per finished point.
     """
     faults.on_point_attempt(cfgs[0].seed, attempt)
+    store = ResultStore(store_root) if store_root is not None else None
     points = []
-    for res in run_batch(cfgs):
+    for cfg, res in zip(cfgs, run_batch(cfgs)):
         latency = math.inf if res.saturated else res.mean_latency
-        points.append(
-            SweepPoint(
-                rate=res.rate, latency=latency, saturated=res.saturated
-            )
+        point = SweepPoint(
+            rate=res.rate, latency=latency, saturated=res.saturated
         )
+        if store is not None:
+            store.put(cfg, point)
+        points.append(point)
     return points
 
 
@@ -260,10 +269,13 @@ class SweepEngine:
         results at a fraction of the per-cycle Python overhead.  Chunks
         retry (and fail) as a unit.
     use_cache:
-        Consult/populate the on-disk point cache (see module docstring).
+        Consult/populate the on-disk result store (see module
+        docstring).  Re-running an interrupted campaign with the store
+        on computes only the points it is missing.  ``False`` also
+        turns off the journal, so the run leaves nothing on disk.
     cache_dir:
-        Cache root; defaults to :func:`repro.store.default_store_dir`.
-        Also hosts the campaign checkpoint journals (``journal/``
+        Store root; defaults to :func:`repro.store.default_store_dir`.
+        Also hosts the campaign event logs (``journal/``
         subdirectory).
     warm_start:
         Chain each model point's converged fixed-point state into the
@@ -288,17 +300,13 @@ class SweepEngine:
         Decorrelate retry backoff delays (see
         :class:`~repro.resilience.RetryPolicy`).  Off by default so
         chaos replay stays deterministic.
-    resume:
-        Default for :meth:`run_panels`'s ``resume``: restore
-        checkpointed points from the campaign journal instead of
-        recomputing them.
     backend:
         Execution substrate of the campaign loop: ``None`` (consult
         ``$REPRO_BACKEND``, default local), a selector string
         (``"local"``, ``"file:<campaign-dir>"``) or a
         :class:`~repro.backends.SweepBackend` instance.  A distributed
-        backend's parallelism is however many workers join, and the
-        shared result store is advertised to its workers.
+        backend's parallelism is however many workers join; its
+        workers write into the result store named by each unit.
 
     ``stats`` accumulates :class:`~repro.resilience.ExecutorStats`
     (retries, timeouts, pool rebuilds, terminal failures) across this
@@ -325,7 +333,6 @@ class SweepEngine:
         point_timeout: Optional[float] = None,
         backoff_base: float = 0.05,
         jitter: bool = False,
-        resume: bool = False,
         backend: "str | SweepBackend | None" = None,
     ) -> None:
         if jobs < 1:
@@ -341,7 +348,6 @@ class SweepEngine:
             backoff_base=backoff_base,
             jitter=jitter,
         )
-        self.resume = bool(resume)
         self.stats = ExecutorStats()
         self.backend = resolve_backend(backend, jobs=self.jobs)
         self.cache_root = (
@@ -406,9 +412,9 @@ class SweepEngine:
             for i, rate in enumerate(spec.rates)
         ]
 
-    # -- checkpoint journal --------------------------------------------
+    # -- campaign event log --------------------------------------------
     def journal_dir(self) -> Path:
-        """Where campaign checkpoint journals live (next to the cache)."""
+        """Where campaign event logs live (next to the store)."""
         return self.cache_root / "journal"
 
     def _campaign_id(
@@ -419,7 +425,7 @@ class SweepEngine:
     ) -> str:
         blob = json.dumps(
             {
-                "journal_version": _JOURNAL_VERSION,
+                "journal_version": JOURNAL_VERSION,
                 "seed": seed,
                 "panels": {
                     spec.name: [config_key(c) for c in cfgs_by[spec.name]]
@@ -435,70 +441,35 @@ class SweepEngine:
         specs: Sequence[PanelSpec],
         cfgs_by: Dict[str, List[SimulationConfig]],
         seed: int,
-        resume: bool,
-    ) -> Tuple[Optional[CheckpointJournal], Dict[_PointKey, SweepPoint]]:
-        """Open (and maybe replay) the campaign's checkpoint journal.
+    ) -> Optional[CheckpointJournal]:
+        """Start the campaign's event log, or ``None`` with the store off.
 
-        Journaling is active whenever the cache is enabled (the journal
-        lives beside it) or a resume was requested; ``use_cache=False``
-        without ``resume`` stays fully side-effect free.  Returns the
-        open journal (or ``None``) plus the points restored from a
-        resumed journal.
+        The log lives beside the store, so ``use_cache=False`` stays
+        free of side effects.
         """
-        if self.cache is None and not resume:
-            return None, {}
+        if self.cache is None:
+            return None
         cid = self._campaign_id(specs, cfgs_by, seed)
-        path = self.journal_dir() / f"{cid}.jsonl"
-        journal = CheckpointJournal(path)
-        done: Dict[_PointKey, SweepPoint] = {}
-        fresh = True
-        if resume and path.exists():
-            header, entries = CheckpointJournal.load(path)
-            if header is not None:
-                recorded = header.get("campaign")
-                if recorded not in (None, cid):
-                    raise ValueError(
-                        f"checkpoint journal {path} belongs to campaign "
-                        f"{recorded}, not {cid} — the panel set or its "
-                        "parameters changed; rerun without resume"
-                    )
-                fresh = False
-                for entry in entries:
-                    if (
-                        entry.get("event") != "point"
-                        or entry.get("status") != "done"
-                    ):
-                        continue
-                    try:
-                        key = (str(entry["panel"]), int(entry["index"]))
-                        done[key] = SweepPoint(
-                            rate=float(entry["rate"]),
-                            latency=float(entry["latency"]),
-                            saturated=bool(entry["saturated"]),
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        continue
+        journal = CheckpointJournal(self.journal_dir() / f"{cid}.jsonl")
         journal.start(
             {
                 "event": "campaign",
                 "campaign": cid,
-                "version": _JOURNAL_VERSION,
+                "version": JOURNAL_VERSION,
                 "seed": seed,
                 "panels": {s.name: len(cfgs_by[s.name]) for s in specs},
-            },
-            fresh=fresh,
+            }
         )
-        return journal, done
+        return journal
 
     # -- the campaign loop ---------------------------------------------
     def _run_campaign(
         self,
         specs: Sequence[PanelSpec],
         cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
         journal: Optional[CheckpointJournal],
     ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Restore, look up, then run the rest as chunks on the backend."""
+        """Look up the store, then run the rest as chunks on the backend."""
         points: Dict[_PointKey, SweepPoint] = {}
         first_sat: Dict[str, int] = {}
 
@@ -530,15 +501,13 @@ class SweepEngine:
             if point.saturated and i < first_sat.get(panel, i + 1):
                 first_sat[panel] = i
 
-        for spec in specs:
-            for i, cfg in enumerate(cfgs_by[spec.name]):
-                hit = done.get((spec.name, i))
-                if hit is None and self.cache is not None:
+        if self.cache is not None:
+            for spec in specs:
+                for i, cfg in enumerate(cfgs_by[spec.name]):
                     hit = self.cache.get(cfg)
                     if hit is not None:
                         record_done(spec.name, i, hit, 0, "cache")
-                if hit is not None:
-                    note((spec.name, i), hit)
+                        note((spec.name, i), hit)
 
         # Pending points up to each panel's first known saturated point,
         # cut in grid order into chunks keyed by their first member.
@@ -558,9 +527,6 @@ class SweepEngine:
             panel = ckey[0]
             before = first_sat.get(panel)
             for i, point in zip(members[ckey], pts):
-                cfg = cfgs_by[panel][i]
-                if self.cache is not None:
-                    self.cache.put(cfg, point)
                 record_done(panel, i, point, attempts, "simulated")
                 note((panel, i), point)
             sat = first_sat.get(panel)
@@ -585,17 +551,17 @@ class SweepEngine:
                 }
             )
 
+        store_root = str(self.cache.root) if self.cache is not None else None
         _, chunk_failures = self.backend.run(
             _simulate_chunk,
             {
-                ckey: ([cfgs_by[ckey[0]][i] for i in idxs],)
+                ckey: ([cfgs_by[ckey[0]][i] for i in idxs], store_root)
                 for ckey, idxs in members.items()
             },
             policy=self.policy,
             stats=self.stats,
             on_result=on_result,
             on_retry=on_retry,
-            store=self.cache,
         )
         failures: Dict[_PointKey, PointFailure] = {}
         for (panel, first), tf in chunk_failures.items():
@@ -630,9 +596,6 @@ class SweepEngine:
         seed: int,
         measure_cycles: Optional[int],
         warmup_cycles: Optional[int],
-        *,
-        use_journal: bool,
-        resume: bool,
     ) -> Dict[str, SweepResult]:
         """Simulate every panel's grid; assemble truncated sweep series."""
         cfgs_by = {
@@ -641,12 +604,9 @@ class SweepEngine:
             )
             for spec in specs
         }
-        journal: Optional[CheckpointJournal] = None
-        done: Dict[_PointKey, SweepPoint] = {}
-        if use_journal:
-            journal, done = self._open_journal(specs, cfgs_by, seed, resume)
+        journal = self._open_journal(specs, cfgs_by, seed)
         try:
-            points, failures = self._run_campaign(specs, cfgs_by, done, journal)
+            points, failures = self._run_campaign(specs, cfgs_by, journal)
         finally:
             if journal is not None:
                 journal.close()
@@ -682,12 +642,7 @@ class SweepEngine:
     ) -> SweepResult:
         """Simulator curve for one panel, truncated at first saturation."""
         return self._simulate_panels(
-            [spec],
-            seed,
-            measure_cycles,
-            warmup_cycles,
-            use_journal=False,
-            resume=False,
+            [spec], seed, measure_cycles, warmup_cycles
         )[spec.name]
 
     # ------------------------------------------------------------------
@@ -702,7 +657,6 @@ class SweepEngine:
         measure_cycles: Optional[int] = None,
         warmup_cycles: Optional[int] = None,
         trip_averaging: bool = True,
-        resume: Optional[bool] = None,
     ) -> PanelResult:
         """Model (and optionally simulator) curves for one panel."""
         return self.run_panels(
@@ -712,7 +666,6 @@ class SweepEngine:
             measure_cycles=measure_cycles,
             warmup_cycles=warmup_cycles,
             trip_averaging=trip_averaging,
-            resume=resume,
         )[spec.name]
 
     def run_panels(
@@ -724,7 +677,6 @@ class SweepEngine:
         measure_cycles: Optional[int] = None,
         warmup_cycles: Optional[int] = None,
         trip_averaging: bool = True,
-        resume: Optional[bool] = None,
     ) -> Dict[str, PanelResult]:
         """Run several panels (e.g. a whole figure) as one campaign.
 
@@ -732,11 +684,9 @@ class SweepEngine:
         backend in one call, so with ``jobs>1`` a six-panel figure keeps
         all workers busy instead of draining panel by panel.  Results
         are keyed by panel name — which must therefore be unique — and
-        identical to per-panel runs.  Each point's status is
-        checkpointed to the campaign's JSONL journal as it completes;
-        ``resume=True`` (default: the engine's ``resume`` setting)
-        restores checkpointed points of an interrupted earlier run
-        instead of recomputing them.
+        identical to per-panel runs.  Points already in the result
+        store are not recomputed, so re-running an interrupted campaign
+        computes only what it is missing.
         """
         names = [spec.name for spec in specs]
         duplicates = sorted({n for n in names if names.count(n) > 1})
@@ -744,16 +694,10 @@ class SweepEngine:
             raise ValueError(
                 f"duplicate panel name(s) in one campaign: {', '.join(duplicates)}"
             )
-        resume = self.resume if resume is None else bool(resume)
         sims: Dict[str, SweepResult] = {}
         if simulate:
             sims = self._simulate_panels(
-                specs,
-                seed,
-                measure_cycles,
-                warmup_cycles,
-                use_journal=True,
-                resume=resume,
+                specs, seed, measure_cycles, warmup_cycles
             )
         results: Dict[str, PanelResult] = {}
         for spec in specs:

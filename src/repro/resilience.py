@@ -23,10 +23,11 @@ module is the resilience layer underneath
     never discards a panel's completed points.
 
 :class:`CheckpointJournal`
-    An append-only JSONL journal of per-point status (done / failed /
-    retried, config hash, failure taxonomy) written next to the sweep
-    cache.  An interrupted campaign resumed from its journal skips every
-    checkpointed point — even with the result cache disabled.
+    A write-only JSONL event log of a campaign's latest run: per-point
+    status (done with its source, failed with the failure taxonomy),
+    config hash and retries, written next to the result store.  It is
+    not a checkpoint: results never read it back — the store alone
+    records finished points, so resuming is a store lookup.
 
 Everything here is dependency-free (stdlib only) so it can be imported
 from any layer, including pool workers.
@@ -35,6 +36,7 @@ from any layer, including pool workers.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import deque
@@ -100,9 +102,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.point_timeout is not None and self.point_timeout <= 0:
+        if self.point_timeout is not None and not (
+            0 < self.point_timeout < math.inf
+        ):
             raise ValueError(
-                f"point_timeout must be positive, got {self.point_timeout}"
+                f"point_timeout must be positive and finite, "
+                f"got {self.point_timeout}"
             )
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff parameters must be non-negative")
@@ -441,7 +446,7 @@ class ResilientExecutor:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journal
+# Campaign journal (event log)
 # ----------------------------------------------------------------------
 
 #: Bump when the journal line format changes incompatibly.
@@ -449,12 +454,13 @@ JOURNAL_VERSION = 1
 
 
 class CheckpointJournal:
-    """Append-only JSONL journal of a sweep campaign's per-point status.
+    """JSONL event log of a sweep campaign's latest run.
 
     One file per campaign (named after the campaign hash), living next
-    to the sweep cache.  The first line is a campaign header; every
-    later line is an event: ``point`` (status ``done`` with the result
-    payload, or ``failed`` with the failure taxonomy) or ``retry``.
+    to the result store; each run replaces the previous run's log.  The
+    first line is a campaign header; every later line is an event:
+    ``point`` (status ``done`` with the result payload and its
+    ``source``, or ``failed`` with the failure taxonomy) or ``retry``.
     Lines are flushed as written, so a crashed campaign leaves at worst
     one truncated trailing line — :meth:`load` skips undecodable lines.
     """
@@ -495,12 +501,11 @@ class CheckpointJournal:
         return header, entries
 
     # -- writing -------------------------------------------------------
-    def start(self, header: dict, *, fresh: bool) -> None:
-        """Open for writing; truncate and write ``header`` when ``fresh``."""
+    def start(self, header: dict) -> None:
+        """Open for writing: truncate any earlier log, write ``header``."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w" if fresh else "a")
-        if fresh:
-            self.record(header)
+        self._fh = open(self.path, "w")
+        self.record(header)
 
     def record(self, entry: dict) -> None:
         if self._fh is None:

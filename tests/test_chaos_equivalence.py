@@ -6,10 +6,11 @@ The two end-to-end guarantees of the fault-tolerant sweep stack:
   crashes and a hung worker (``REPRO_FAULTS``) produces a *bit-identical*
   ``SweepResult`` to the fault-free run, with the injected failures
   visible in the campaign's checkpoint journal and the engine stats.
-* **Resumability** — a campaign interrupted partway through, re-run with
-  ``resume=True``, restores every checkpointed point from the journal
-  (no recomputation) and completes to the fault-free result — even with
-  the result cache disabled.
+* **Resumability** — a campaign interrupted partway through and simply
+  re-run with the result store on finds every point finished before the
+  interruption in the store (no recomputation) and completes to the
+  fault-free result.  The journal is an event log only: its contents
+  never feed results.
 
 The fault seeds are *searched*, not guessed: the injection draws are
 pure SHA-256 functions of (kind, seed, point seed, attempt), so the test
@@ -183,11 +184,7 @@ class TestResume:
         _CountingSim.interrupt_at = 3  # die while computing point 2
         monkeypatch.setattr(sim_mod, "Simulation", _CountingSim)
 
-        # The cache stays OFF throughout: resume must work from the
-        # journal alone.
-        engine = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=True
-        )
+        engine = SweepEngine(jobs=1, cache_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
             engine.run_panel(spec, **SIM_KWARGS)
 
@@ -200,67 +197,53 @@ class TestResume:
         done = [e for e in entries if e.get("status") == "done"]
         assert {e["index"] for e in done} == {0, 1}
 
-        # Resume: only the interrupted point is recomputed.
+        # Re-run: the store holds points 0 and 1, so only the
+        # interrupted point is recomputed.
         _CountingSim.calls = 0
         _CountingSim.interrupt_at = None
-        resumed = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=True
-        ).run_panel(spec, **SIM_KWARGS)
+        resumed = SweepEngine(jobs=1, cache_dir=tmp_path).run_panel(
+            spec, **SIM_KWARGS
+        )
         assert _CountingSim.calls == n_reference - 2
         assert resumed.simulation == reference.simulation
 
-        # A third resumed run recomputes nothing at all.
+        # A third run recomputes nothing at all.
         _CountingSim.calls = 0
-        again = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=True
-        ).run_panel(spec, **SIM_KWARGS)
+        again = SweepEngine(jobs=1, cache_dir=tmp_path).run_panel(
+            spec, **SIM_KWARGS
+        )
         assert _CountingSim.calls == 0
         assert again.simulation == reference.simulation
 
-    def test_resume_rejects_changed_campaign(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        spec = tiny_panel(PANEL, rates=RATES)
-        engine = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=True
-        )
-        engine.run_panel(spec, **SIM_KWARGS)
-        journals = list(engine.journal_dir().glob("*.jsonl"))
-        assert len(journals) == 1
-        # Same journal file, different campaign: forge the header.
-        lines = journals[0].read_text().splitlines()
-        header = json.loads(lines[0])
-        header["campaign"] = "0" * 16
-        journals[0].write_text(
-            "\n".join([json.dumps(header)] + lines[1:]) + "\n"
-        )
-        # The journal path is keyed by campaign id, so simulate the
-        # mismatch by pointing the forged file at the current campaign.
-        forged = journals[0]
-        cfgs_by = {
-            spec.name: engine._panel_configs(spec, BASE_SEED, 3_000, 500)
-        }
-        cid = engine._campaign_id([spec], cfgs_by, BASE_SEED)
-        forged.replace(engine.journal_dir() / f"{cid}.jsonl")
-        with pytest.raises(ValueError, match="campaign"):
-            engine.run_panel(spec, **SIM_KWARGS)
-
     def test_fresh_run_ignores_stale_journal(self, tmp_path, monkeypatch):
+        """Journal contents never feed results: forged ``done`` lines
+        with wrong latencies and an empty store change nothing."""
         monkeypatch.delenv(ENV_VAR, raising=False)
         spec = tiny_panel(PANEL, rates=RATES)
         reference = SweepEngine(jobs=1, use_cache=False).run_panel(
             spec, **SIM_KWARGS
         )
-        engine = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=True
-        )
+        engine = SweepEngine(jobs=1, cache_dir=tmp_path)
         engine.run_panel(spec, **SIM_KWARGS)
-        # Without resume, the journal is truncated and everything re-runs.
+        journals = list(engine.journal_dir().glob("*.jsonl"))
+        assert len(journals) == 1
+        forged = []
+        for line in journals[0].read_text().splitlines():
+            entry = json.loads(line)
+            if entry.get("status") == "done":
+                entry["latency"] = 12345.0
+                entry["saturated"] = False
+            forged.append(json.dumps(entry))
+        journals[0].write_text("\n".join(forged) + "\n")
+        for entry in tmp_path.glob("*.json"):
+            entry.unlink()
+
         _CountingSim.real = sim_mod.Simulation
         _CountingSim.calls = 0
         _CountingSim.interrupt_at = None
         monkeypatch.setattr(sim_mod, "Simulation", _CountingSim)
-        fresh = SweepEngine(
-            jobs=1, use_cache=False, cache_dir=tmp_path, resume=False
-        ).run_panel(spec, **SIM_KWARGS)
+        fresh = SweepEngine(jobs=1, cache_dir=tmp_path).run_panel(
+            spec, **SIM_KWARGS
+        )
         assert _CountingSim.calls == len(reference.simulation.points)
         assert fresh.simulation == reference.simulation

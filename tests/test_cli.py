@@ -154,6 +154,29 @@ class TestWorkerCommand:
             build_parser().parse_args(["worker", "c", "--max-units", "0"])
 
 
+class TestBadFlagValues:
+    """Out-of-domain flag values are usage errors (exit 2), never a
+    traceback or a silently accepted value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["panel", "fig1_h70", "--max-retries", "-1"],
+            ["panel", "fig1_h70", "--point-timeout", "-5"],
+            ["panel", "fig1_h70", "--point-timeout", "nan"],
+            ["model", "--rate", "nan"],
+            ["simulate", "--rate", "nan"],
+            ["model", "--rate", "inf"],
+            ["panel", "fig1_h70", "--resume"],  # resuming is a store hit
+        ],
+    )
+    def test_rejected_as_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestSweepBackendFlags:
     def test_backend_default_none(self):
         # None lets the engine fall back to $REPRO_BACKEND, then "local".

@@ -21,7 +21,7 @@ import pytest
 
 from repro.backends import FileQueueBackend, LocalPoolBackend, resolve_backend
 from repro.backends import filequeue as fq
-from repro.backends.worker import FileQueueWorker
+from repro.backends.worker import FileQueueWorker, publish_result
 from repro.experiments.sweep import (
     SweepEngine,
     _simulate_chunk,
@@ -30,7 +30,7 @@ from repro.experiments.sweep import (
 )
 from repro.resilience import ExecutorStats, RetryPolicy
 from repro.simulator.config import SimulationConfig
-from repro.store import atomic_write_json
+from repro.store import ResultStore, atomic_write_json, config_key
 
 from test_sweep_engine import tiny_panel
 
@@ -65,6 +65,7 @@ def publish_unit(root, uid, cfg, attempt=0):
             "unit": uid,
             "attempt": attempt,
             "configs": [asdict(cfg)],
+            "store": None,
         },
     )
 
@@ -247,7 +248,7 @@ class TestCoordinator:
             speculate_factor=None,
         )
         cfg = tiny_cfg()
-        thread, out, stats = self.run_backend(backend, {("p", 0): ([cfg],)})
+        thread, out, stats = self.run_backend(backend, {("p", 0): ([cfg], None)})
         try:
             deadline = time.time() + 10.0
             queue_file = None
@@ -305,7 +306,7 @@ class TestCoordinator:
         )
         cfg_fast = tiny_cfg(rate=0.002, index=0)
         cfg_slow = tiny_cfg(rate=0.01, index=1)
-        tasks = {("p", 0): ([cfg_fast],), ("p", 1): ([cfg_slow],)}
+        tasks = {("p", 0): ([cfg_fast], None), ("p", 1): ([cfg_slow], None)}
         worker = make_worker(tmp_path, worker_id="fleet")
         thread, out, stats = self.run_backend(backend, tasks)
         wt = None
@@ -341,10 +342,12 @@ class TestCoordinator:
                     break  # unit resolved via the speculative copy
                 time.sleep(0.05)
             # The straggler finally finishes too: identical payload by
-            # determinism, atomically renamed over whichever copy won.
+            # determinism, atomically renamed over whichever copy won —
+            # or dropped if the campaign already ended and swept its tmp.
             point = _simulate_point(cfg_slow)
-            atomic_write_json(
-                fq.results_dir(tmp_path) / f"{uid}.json",
+            publish_result(
+                tmp_path,
+                uid,
                 {
                     "protocol": fq.PROTOCOL_VERSION,
                     "unit": uid,
@@ -379,14 +382,41 @@ class TestCoordinator:
         assert campaign_leftovers(tmp_path) == []
 
 
+class TestWorkerPublish:
+    def test_vanished_result_tmp_means_unit_resolved(
+        self, tmp_path, monkeypatch
+    ):
+        """The coordinator's end-of-campaign cleanup deletes the result
+        tmp just before the worker renames it: the worker drops the
+        reply, releases its lease and keeps serving."""
+        fq.ensure_layout(tmp_path)
+        publish_unit(tmp_path, "u-0", tiny_cfg())
+        real_replace = os.replace
+
+        def swept_replace(src, dst):
+            if Path(dst).parent.name == "results":
+                os.unlink(src)  # the coordinator's *.tmp sweep
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", swept_replace)
+        worker = make_worker(tmp_path, worker_id="late", once=True)
+        served = []
+        wt = threading.Thread(target=lambda: served.append(worker.run()))
+        wt.start()
+        wt.join(timeout=60.0)
+        assert served == [1]  # run() returned normally
+        assert list(fq.results_dir(tmp_path).iterdir()) == []
+        assert list(fq.leases_dir(tmp_path).glob("*.lease")) == []
+        assert list(fq.queue_dir(tmp_path).glob("*.json")) == []
+
+
 class TestWorkerDrain:
     def test_sigterm_drains_mid_point(self, tmp_path):
         """SIGTERM mid-compute: the worker finishes and publishes the
         current unit, leaves the rest unclaimed, and deregisters."""
         fq.ensure_layout(tmp_path)
         atomic_write_json(
-            fq.meta_path(tmp_path),
-            {"protocol": fq.PROTOCOL_VERSION, "store": None},
+            fq.meta_path(tmp_path), {"protocol": fq.PROTOCOL_VERSION}
         )
         # First (sorted) unit is slow enough to catch mid-compute.
         publish_unit(
@@ -498,3 +528,40 @@ class TestEngineIntegration:
         ]
         assert result.simulation.failures == []
         assert campaign_leftovers(campaign) == []
+
+    def test_file_backend_writes_each_point_once(self, tmp_path, monkeypatch):
+        """The worker that computes a point is its only writer: the
+        coordinator writes nothing, yet the store holds every point."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        puts = []
+        real_put = ResultStore.put
+
+        def counting_put(store, cfg, point):
+            puts.append(config_key(cfg))
+            real_put(store, cfg, point)
+
+        monkeypatch.setattr(ResultStore, "put", counting_put)
+        spec = tiny_panel()
+        campaign = tmp_path / "campaign"
+        backend = FileQueueBackend(
+            campaign,
+            lease_timeout=30.0,
+            heartbeat_timeout=30.0,
+            poll_interval=0.05,
+            speculate_factor=None,
+        )
+        worker = make_worker(campaign)
+        wt = threading.Thread(target=worker.run)
+        wt.start()
+        try:
+            engine = SweepEngine(cache_dir=tmp_path / "store", backend=backend)
+            result = engine.run_panel(spec, simulate=True, **SIM_KWARGS)
+        finally:
+            worker.request_stop()
+            wt.join(timeout=30.0)
+        points = result.simulation.points
+        cfgs = engine._panel_configs(spec, 7, 3_000, 500)[: len(points)]
+        assert len(puts) == len(set(puts))
+        assert {config_key(c) for c in cfgs} <= set(puts)
+        store = ResultStore(tmp_path / "store")
+        assert [store.get(c) for c in cfgs] == points

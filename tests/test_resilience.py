@@ -102,6 +102,8 @@ class TestRetryPolicy:
             dict(max_retries=-1),
             dict(point_timeout=0.0),
             dict(point_timeout=-1.0),
+            dict(point_timeout=float("nan")),
+            dict(point_timeout=float("inf")),
             dict(backoff_base=-0.1),
             dict(backoff_cap=-1.0),
         ],
@@ -236,7 +238,7 @@ class TestCheckpointJournal:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "j" / "camp.jsonl"
         journal = CheckpointJournal(path)
-        journal.start({"event": "campaign", "campaign": "abc"}, fresh=True)
+        journal.start({"event": "campaign", "campaign": "abc"})
         journal.record({"event": "point", "index": 0, "latency": 1.5})
         journal.record({"event": "point", "index": 1, "latency": float("inf")})
         journal.close()
@@ -248,7 +250,7 @@ class TestCheckpointJournal:
     def test_truncated_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "camp.jsonl"
         journal = CheckpointJournal(path)
-        journal.start({"event": "campaign"}, fresh=True)
+        journal.start({"event": "campaign"})
         journal.record({"event": "point", "index": 0})
         journal.close()
         with open(path, "a") as fh:
@@ -262,24 +264,11 @@ class TestCheckpointJournal:
         assert header is None
         assert entries == []
 
-    def test_append_mode_preserves_existing_lines(self, tmp_path):
-        path = tmp_path / "camp.jsonl"
-        j1 = CheckpointJournal(path)
-        j1.start({"event": "campaign"}, fresh=True)
-        j1.record({"event": "point", "index": 0})
-        j1.close()
-        j2 = CheckpointJournal(path)
-        j2.start({"event": "campaign"}, fresh=False)
-        j2.record({"event": "point", "index": 1})
-        j2.close()
-        _, entries = CheckpointJournal.load(path)
-        assert [e["index"] for e in entries] == [0, 1]
-
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "camp.jsonl"
         for _ in range(2):
             journal = CheckpointJournal(path)
-            journal.start({"event": "campaign"}, fresh=True)
+            journal.start({"event": "campaign"})
             journal.record({"event": "point", "index": 0})
             journal.close()
         _, entries = CheckpointJournal.load(path)

@@ -31,7 +31,7 @@ from repro.core.model import HotSpotLatencyModel
 from repro.core.uniform import UniformLatencyModel
 from repro.experiments import PanelSpec, SweepEngine, get_panel, point_seed
 from repro.resilience import CheckpointJournal
-from repro.store import config_key, payload_checksum
+from repro.store import ResultStore, config_key, payload_checksum
 
 
 def tiny_panel(name="tiny", rates=(0.002, 0.01, 0.12, 0.18)):
@@ -255,6 +255,31 @@ class TestCache:
         monkeypatch.setattr(sim_mod, "Simulation", Boom)
         second = engine.run_panel(spec, **kwargs)
         assert second.simulation == first.simulation
+
+    def test_pool_workers_are_the_only_writers(self, tmp_path, monkeypatch):
+        """With jobs=2 each point is written by the pool worker that
+        computed it: the coordinator never calls ``ResultStore.put``,
+        yet the store holds every computed point."""
+        coordinator_puts = []
+        real_put = ResultStore.put
+        pid = os.getpid()
+
+        def counting_put(store, cfg, point):
+            if os.getpid() == pid:
+                coordinator_puts.append(cfg)
+            real_put(store, cfg, point)
+
+        monkeypatch.setattr(ResultStore, "put", counting_put)
+        spec = tiny_panel()
+        engine = SweepEngine(jobs=2, cache_dir=tmp_path)
+        result = engine.run_panel(
+            spec, seed=7, measure_cycles=3_000, warmup_cycles=500
+        )
+        assert coordinator_puts == []
+        points = result.simulation.points
+        cfgs = engine._panel_configs(spec, 7, 3_000, 500)[: len(points)]
+        store = ResultStore(tmp_path)
+        assert [store.get(c) for c in cfgs] == points
 
     def test_cache_respects_config_changes(self, tmp_path):
         spec = tiny_panel(rates=(0.004,))
