@@ -217,8 +217,8 @@ def bench_sim_batch_configs(
     """The standard batched-simulation benchmark: ``batch`` same-shape runs.
 
     Long messages at light load on the paper's 16x16 torus — the
-    event-sparse regime batching targets, where the span kernel advances
-    many cycles per call.  The configs differ only in seed, like the
+    event-sparse regime, where the lifecycle kernel advances many cycles
+    per call and a batch shares each call among its rows.  The configs differ only in seed, like the
     same sweep point re-run across a seed panel.
     """
     from dataclasses import replace

@@ -54,7 +54,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -105,6 +106,20 @@ def _rate(raw: str) -> float:
             f"must be non-negative and finite, got {raw}"
         )
     return value
+
+
+@contextmanager
+def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Report a parameter rejected by a constructor as a usage error.
+
+    ``SimulationConfig`` and the model constructors validate the
+    network parameters; their ``ValueError`` becomes one ``error:``
+    line and exit code 2, like any other bad flag value.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_network_args(p: argparse.ArgumentParser) -> None:
@@ -161,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--simulate", action="store_true", help="also run the simulator series"
         )
-        p.add_argument("--cycles", type=int, default=None,
+        p.add_argument("--cycles", type=_positive_int, default=None,
                        help="measured cycles per simulation point")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="simulation worker processes (default 1)")
@@ -271,20 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
-    model = HotSpotLatencyModel(
-        k=args.k,
-        message_length=args.lm,
-        hotspot_fraction=args.h,
-        num_vcs=args.vcs,
-        trip_averaging=not args.literal_entrance,
-    ) if args.h > 0 else UniformLatencyModel(
-        k=args.k,
-        n=2,
-        message_length=args.lm,
-        num_vcs=args.vcs,
-        trip_averaging=not args.literal_entrance,
-    )
+def _cmd_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    with _usage_errors(parser):
+        model = HotSpotLatencyModel(
+            k=args.k,
+            message_length=args.lm,
+            hotspot_fraction=args.h,
+            num_vcs=args.vcs,
+            trip_averaging=not args.literal_entrance,
+        ) if args.h > 0 else UniformLatencyModel(
+            k=args.k,
+            n=2,
+            message_length=args.lm,
+            num_vcs=args.vcs,
+            trip_averaging=not args.literal_entrance,
+        )
     if args.rate is None and args.sweep is None:
         print("error: give --rate or --sweep N", file=sys.stderr)
         return 2
@@ -313,10 +329,16 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_saturation(args: argparse.Namespace) -> int:
-    model = HotSpotLatencyModel(
-        k=args.k, message_length=args.lm, hotspot_fraction=args.h, num_vcs=args.vcs
-    )
+def _cmd_saturation(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    with _usage_errors(parser):
+        model = HotSpotLatencyModel(
+            k=args.k,
+            message_length=args.lm,
+            hotspot_fraction=args.h,
+            num_vcs=args.vcs,
+        )
     sat = model.saturation_rate(hi=0.05)
     bound = 1.0 / (args.h * args.k * (args.k - 1) * (args.lm + 1)) if args.h else None
     print(f"saturation rate: {sat:.6g} messages/cycle/node")
@@ -326,19 +348,26 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimulationConfig(
-        k=args.k,
-        message_length=args.lm,
-        rate=args.rate,
-        hotspot_fraction=args.h,
-        num_vcs=args.vcs,
-        warmup_cycles=args.warmup if args.warmup is not None else max(args.cycles // 8, 1_000),
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        model_ejection=args.ejection,
-        engine=args.engine,
-    )
+def _cmd_simulate(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    with _usage_errors(parser):
+        cfg = SimulationConfig(
+            k=args.k,
+            message_length=args.lm,
+            rate=args.rate,
+            hotspot_fraction=args.h,
+            num_vcs=args.vcs,
+            warmup_cycles=(
+                args.warmup
+                if args.warmup is not None
+                else max(args.cycles // 8, 1_000)
+            ),
+            measure_cycles=args.cycles,
+            seed=args.seed,
+            model_ejection=args.ejection,
+            engine=args.engine,
+        )
     res = Simulation(cfg).run()
     print(f"completed {res.num_completed} messages over {res.cycles_run} cycles")
     if res.num_completed:
@@ -541,13 +570,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "model":
-        return _cmd_model(args)
+        return _cmd_model(args, parser)
     if args.command == "saturation":
-        return _cmd_saturation(args)
+        return _cmd_saturation(args, parser)
     if args.command == "simulate":
-        return _cmd_simulate(args)
+        return _cmd_simulate(args, parser)
     if args.command == "panel":
         return _cmd_panel(args)
     if args.command == "figure":

@@ -29,11 +29,14 @@ Two interchangeable cycle engines exist (``config.engine`` /
 ``$REPRO_ENGINE``): the structure-of-arrays engine
 (:class:`~repro.simulator.soa.SoACycleEngine`, the fast default) and
 the reference engine (:class:`~repro.simulator.engine.CycleEngine`,
-the correctness oracle); their outputs are bit-identical.  Same-shape
-configuration sets can additionally be advanced together —
-:func:`~repro.simulator.sim.run_batch` /
-:class:`~repro.simulator.batch.BatchedSoAEngine` sweep B stacked
-networks per kernel call, each row bit-identical to its solo run.
+the correctness oracle); their outputs are bit-identical.  With
+deterministic routing and a C compiler the SoA engine runs the whole
+wormhole lifecycle in C, through
+:class:`~repro.simulator.batch.BatchedSoAEngine`, which advances B
+networks per kernel call (a solo run is one row); same-shape
+configuration sets go through it together via
+:func:`~repro.simulator.sim.run_batch`, each row bit-identical to its
+solo run.
 """
 
 from repro.simulator.batch import BatchedSoAEngine, batch_shape_key

@@ -1,59 +1,54 @@
-"""Batched multi-configuration simulation: B networks per kernel call.
+"""The run loop of deterministic SoA simulations: B networks per kernel call.
 
 A parameter sweep is many *same-shape* simulations — identical
 ``(k, n, bidirectional, model_ejection, num_vcs)`` and therefore
 identical array shapes — differing only in rate, seed, message length,
-buffer depth or run control.  Run solo, each pays the full Python
-per-cycle overhead (arrival checks, ctypes marshalling, loop
-bookkeeping) for one network's worth of kernel work.
+buffer depth or run control.
 
-:class:`BatchedSoAEngine` amortises that overhead: it *adopts* B
-freshly constructed :class:`~repro.simulator.network.TorusWorkload`\\ s
-by stacking their engines' flat int32 slot arrays into contiguous
-``(B, slots + 1)`` planes (each row keeps its own sentinel slot) and
-rebinding every engine's arrays to views of its row.  All inherited
-boundary, allocation and arrival machinery then transparently operates
-on the shared planes, while one kernel invocation per tick — the C
-``repro_soa_cycle_batch`` or the batched numpy fallback — sweeps every
-active row at once.  Boundary events drain as one merged list of
-global indices ``row * row_stride + slot``, decoded here into
-``(config, slot)`` and dispatched to the owning engine.
+:class:`BatchedSoAEngine` runs B freshly constructed
+:class:`~repro.simulator.network.TorusWorkload`\\ s whose engines keep
+their whole wormhole lifecycle in the C kernel
+(:attr:`~repro.simulator.soa.SoACycleEngine.kernel_lifecycle`: the
+default for deterministic routing).  Each row keeps its own tables; one
+``repro_soa_run`` call advances every live row from its clock to its
+own stop — the next cycle at which an arrival is due, the warm-up edge
+or the end of the run — or to the first cycle at which its backlog
+limit or completion target trips, jumping idle stretches on the way.
+Between calls, per row, Python:
 
-Rows are fully independent: each advances its own clock (warmup
-snapshots, idle fast-forward and saturation/target exits all happen at
-per-row cycles), and a finished configuration *retires in place* —
-its ``active`` flag drops and its ``avail`` row is zeroed so it stops
-producing winners without reshaping the batch.  Every row is
-bit-identical to the same configuration run solo on the single-config
-:class:`~repro.simulator.soa.SoACycleEngine`, which stays untouched as
-the equivalence oracle (see ``tests/test_batch_equivalence.py``).
+* takes the warm-up snapshot on its cycle;
+* feeds the arrivals due (destination draws and gaps in the workload's
+  RNG order) and stages them into the row's tables;
+* drains the call's completions, in kernel order, into
+  ``engine.on_delivery`` — so Welford and batch-means statistics see
+  exactly the solo delivery order.
+
+A solo :meth:`TorusWorkload.run` is the one-row case, so solo and
+batched rows share this loop and are bit-identical by construction;
+``tests/test_batch_equivalence.py`` and
+``tests/test_engine_equivalence.py`` check both against the reference
+engine and the numpy lifecycle.  Rows whose lifecycle stays in Python —
+adaptive routing, or the numpy kernel — run solo, one after another.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.simulator.config import SimulationConfig
-from repro.simulator.kernel import load_c_kernel_batch
+from repro.simulator.kernel import CTL, STATUS_EXIT, UNLIMITED, load_c_kernel_batch
 from repro.simulator.network import TorusWorkload
 from repro.simulator.soa import SoACycleEngine, resolve_soa_kernel
 
 __all__ = ["BatchedSoAEngine", "batch_shape_key"]
 
-#: Slot arrays (``(slots + 1,)`` int32, sentinel last) replaced by
-#: plane-row views on adoption.
-_ADOPTED_SLOT_ARRAYS = (
-    "_avail",
-    "_head_room",
-    "_moved",
-    "_nxt_evt",
-    "_nxt_idx",
-    "_prv_idx",
-)
+_CUR = CTL["cur"]
+_STOP = CTL["stop"]
+_IDLE_TO = CTL["idle_to"]
 
 
 def batch_shape_key(config: SimulationConfig) -> Tuple[int, int, bool, bool, int]:
@@ -78,53 +73,50 @@ class _Row:
     """Per-configuration loop state, hoisted once at construction."""
 
     __slots__ = (
-        "index",
         "workload",
         "engine",
-        "counters",
+        "ctl",
         "heap",
         "due",
-        "cur",
         "total",
         "warmup_end",
-        "backlog_limit",
-        "target",
-        "all_stats",
         "done",
     )
 
-    def __init__(self, index: int, workload: TorusWorkload) -> None:
+    def __init__(self, workload: TorusWorkload) -> None:
         cfg = workload.config
-        self.index = index
         self.workload = workload
         self.engine = workload.engine
-        self.counters = workload.engine.counters
         self.heap = workload._arrivals
         self.due = self.heap[0][0] if self.heap else math.inf
-        self.cur = 0
         self.total = cfg.total_cycles
         self.warmup_end = workload.warmup_end
-        self.backlog_limit = int(cfg.saturation_backlog_factor * cfg.num_nodes)
-        self.target = cfg.target_completions
-        self.all_stats = workload.all_stats
         self.done = False
+        ctl = self.ctl = self.engine._ctl
+        ctl[CTL["warmup"]] = self.warmup_end
+        ctl[CTL["backlog_limit"]] = int(
+            cfg.saturation_backlog_factor * cfg.num_nodes
+        )
+        target = cfg.target_completions
+        ctl[CTL["target_left"]] = UNLIMITED if target is None else target
 
 
 class BatchedSoAEngine:
-    """Advance B same-shape :class:`TorusWorkload`\\ s in lock-step ticks.
+    """Run B same-shape :class:`TorusWorkload`\\ s, one kernel call per tick.
 
     Parameters
     ----------
     workloads:
         Freshly constructed workloads (not yet run) whose engines are
         all :class:`~repro.simulator.soa.SoACycleEngine` instances of
-        one shape (see :func:`batch_shape_key`).  Their state arrays
-        are adopted into shared planes; after :meth:`run` each workload
-        carries its final statistics exactly as if it had run solo.
+        one shape (see :func:`batch_shape_key`).  After :meth:`run`
+        each workload carries its final statistics exactly as if it had
+        run solo.
     kernel:
         ``"auto"`` / ``"c"`` / ``"numpy"``, normalised exactly like
         ``$REPRO_SOA_KERNEL`` (see
-        :func:`~repro.simulator.soa.resolve_soa_kernel`).
+        :func:`~repro.simulator.soa.resolve_soa_kernel`).  Engines are
+        switched to it; with ``"numpy"`` every row runs solo.
     """
 
     def __init__(
@@ -149,376 +141,102 @@ class BatchedSoAEngine:
                 )
             engines.append(e)
         first = engines[0]
-        num_channels = first.num_channels
-        num_vcs = first.num_vcs
         for w, e in zip(workloads, engines):
-            if e.num_channels != num_channels or e.num_vcs != num_vcs:
+            if e.num_channels != first.num_channels or e.num_vcs != first.num_vcs:
                 raise ValueError(
                     "all workloads in a batch must share one array shape "
-                    f"(batch_shape_key): expected {num_channels} channels "
-                    f"x {num_vcs} VCs, got {e.num_channels} x {e.num_vcs} "
-                    f"for seed {w.config.seed}"
+                    f"(batch_shape_key): expected {first.num_channels} "
+                    f"channels x {first.num_vcs} VCs, got {e.num_channels} "
+                    f"x {e.num_vcs} for seed {w.config.seed}"
                 )
-        num_rows = len(workloads)
-        n_slots = num_channels * num_vcs
-        row_stride = n_slots + 1
-        self.num_rows = num_rows
-        self.num_channels = num_channels
-        self.num_vcs = num_vcs
+        self.num_rows = len(workloads)
         self.workloads = list(workloads)
-        self._row_stride = row_stride
-
-        # ------------------------------------------------------------------
-        # Plane allocation + adoption: stack each engine's fresh arrays
-        # into (B, ...) planes, then rebind the engine attributes to row
-        # views so every inherited method (grants, releases, boundary
-        # handling, numpy solo kernel) transparently works on the planes.
-        # ------------------------------------------------------------------
-        planes: Dict[str, np.ndarray] = {
-            name: np.stack([getattr(e, name) for e in engines])
-            for name in _ADOPTED_SLOT_ARRAYS
-        }
-        self._avail = planes["_avail"]
-        self._head_room = planes["_head_room"]
-        self._moved = planes["_moved"]
-        self._nxt_evt = planes["_nxt_evt"]
-        self._nxt_idx = planes["_nxt_idx"]
-        self._prv_idx = planes["_prv_idx"]
-        self._rr = np.stack([e._rr for e in engines])
-        self._busy_cnt = np.stack([e._busy_cnt for e in engines])
-        self._flits = np.stack([e.channel_flit_counts for e in engines])
-        for b, e in enumerate(engines):
-            for name in _ADOPTED_SLOT_ARRAYS:
-                setattr(e, name, planes[name][b])
-            e._rr = self._rr[b]
-            e._busy_cnt = self._busy_cnt[b]
-            e.channel_flit_counts = self._flits[b]
-            e._avail_v = e._avail[:n_slots]
-            e._head_v = e._head_room[:n_slots]
-            # The engine's solo C context still holds the addresses of
-            # the abandoned arrays; disarm it so a stray step() runs the
-            # (adopted, correct) numpy path instead.
-            e._c_fn = None
-
-        self._active = np.ones(num_rows, dtype=np.int32)
-        self._win_scratch = np.empty(num_channels, dtype=np.int32)
-        self._busy_scratch = np.empty(num_channels, dtype=np.int32)
-        self._evt_scratch = np.empty(num_rows * num_channels, dtype=np.int32)
-        self._nev_out = np.zeros(1, dtype=np.int32)
-        self._moves_out = np.zeros(num_rows, dtype=np.int64)
-        self._cur = np.zeros(num_rows, dtype=np.int64)
-        self._stop = np.zeros(num_rows, dtype=np.int64)
-        self._last_move = np.full(num_rows, -1, dtype=np.int64)
-        self._zero_moves = [0] * num_rows
-
         self.kernel_name = resolve_soa_kernel(kernel)
-        self._batch_fn = (
-            load_c_kernel_batch() if self.kernel_name == "c" else None
-        )
-        if self._batch_fn is not None:
-            # One context block (scalars + raw plane addresses), mirroring
-            # _BATCH_CTX_LAYOUT in repro.simulator.kernel; the backing
-            # arrays are instance attributes so the addresses stay valid.
-            self._ctx = np.array(
-                [
-                    num_rows,
-                    num_channels,
-                    num_vcs,
-                    row_stride,
-                    self._active.ctypes.data,
-                    self._busy_cnt.ctypes.data,
-                    self._rr.ctypes.data,
-                    self._avail.ctypes.data,
-                    self._head_room.ctypes.data,
-                    self._moved.ctypes.data,
-                    self._nxt_evt.ctypes.data,
-                    self._nxt_idx.ctypes.data,
-                    self._prv_idx.ctypes.data,
-                    self._flits.ctypes.data,
-                    self._win_scratch.ctypes.data,
-                    self._busy_scratch.ctypes.data,
-                    self._evt_scratch.ctypes.data,
-                    self._nev_out.ctypes.data,
-                    self._moves_out.ctypes.data,
-                    self._cur.ctypes.data,
-                    self._stop.ctypes.data,
-                    self._last_move.ctypes.data,
-                ],
-                dtype=np.uint64,
-            )
-            self._ctx_ptr = self._ctx.ctypes.data_as(
-                ctypes.POINTER(ctypes.c_uint64)
-            )
-        # Persistent views for the batched numpy kernel: per-VC readiness
-        # cube (sentinel column excluded) and flat plane aliases indexed
-        # by global slot (row * row_stride + slot).
-        self._av3 = self._avail[:, :n_slots].reshape(
-            num_rows, num_channels, num_vcs
-        )
-        self._hd3 = self._head_room[:, :n_slots].reshape(
-            num_rows, num_channels, num_vcs
-        )
-        self._avail_f = self._avail.reshape(-1)
-        self._head_f = self._head_room.reshape(-1)
-        self._moved_f = self._moved.reshape(-1)
-        self._nxt_evt_f = self._nxt_evt.reshape(-1)
-        self._nxt_idx_f = self._nxt_idx.reshape(-1)
-        self._prv_idx_f = self._prv_idx.reshape(-1)
-
-        self._rows = [_Row(b, w) for b, w in enumerate(workloads)]
+        for e in engines:
+            if e.kernel_name != self.kernel_name:
+                e._init_lifecycle(self.kernel_name)
+        self._run_fn = load_c_kernel_batch() if self.kernel_name == "c" else None
         self._ran = False
 
     # ------------------------------------------------------------------
-    def _retire(self, row: _Row) -> None:
-        """Finish a row in place: final snapshot, drop out of the sweep."""
+    @staticmethod
+    def _retire(row: _Row) -> None:
+        """Finish a row: the warm-up snapshot, if its edge never came."""
         row.done = True
         w = row.workload
-        e = row.engine
         if w._flits_at_warmup is None:
-            w._flits_at_warmup = e.channel_flit_counts.copy()
-            w._cycles_at_warmup = e.counters.cycles_run
-        self._active[row.index] = 0
-        # A retired row must stop producing winners without reshaping
-        # the batch: the C kernel skips it via the active flag, and with
-        # avail zeroed no slot can look ready to the numpy kernel either
-        # (its flit counts and statistics are already snapshotted).
-        self._avail[row.index].fill(0)
+            w._flits_at_warmup = row.engine.channel_flit_counts.copy()
+            w._cycles_at_warmup = row.engine.counters.cycles_run
 
-    # ------------------------------------------------------------------
-    def _cycle_numpy_batch(self) -> Tuple[List[int], List[int]]:
-        """Batched scan + apply, integer-identical to the C batch kernel.
-
-        Returns per-row move counts and the merged, ascending list of
-        global boundary-event indices.
-        """
-        num_vcs = self.num_vcs
-        ready = (self._av3 > 0) & (self._hd3 > 0)
-        rr = self._rr
-        if num_vcs == 2:
-            r0 = ready[:, :, 0]
-            r1 = ready[:, :, 1]
-            wb, wc = np.nonzero(r0 | r1)
-            if wb.size == 0:
-                return self._zero_moves, []
-            wvc = np.where(r0 & r1, rr, r1)[wb, wc]
-        else:
-            best = np.full((self.num_rows, self.num_channels), num_vcs,
-                           dtype=np.int32)
-            vcsel = np.zeros_like(best)
-            for v in range(num_vcs):
-                rel = (v - rr) % num_vcs
-                pri = np.where(ready[:, :, v], rel, num_vcs)
-                upd = pri < best
-                vcsel[upd] = v
-                best[upd] = pri[upd]
-            wb, wc = np.nonzero(best < num_vcs)
-            if wb.size == 0:
-                return self._zero_moves, []
-            wvc = vcsel[wb, wc]
-        stride = self._row_stride
-        g = wb * stride + wc * num_vcs + wvc
-        rr[wb, wc] = (wvc + 1) % num_vcs
-        moved = self._moved_f
-        avail = self._avail_f
-        head = self._head_f
-        mv = moved[g] + 1
-        moved[g] = mv
-        avail[g] = avail[g] - 1
-        head[g] = head[g] - 1
-        # Winner slots are unique per (row, channel) and so are their
-        # live neighbours within a row; each row's own sentinel absorbs
-        # repeated no-neighbour updates harmlessly.
-        base = wb * stride
-        nxt = base + self._nxt_idx_f[g]
-        avail[nxt] = avail[nxt] + 1
-        prv = base + self._prv_idx_f[g]
-        head[prv] = head[prv] + 1
-        self._flits[wb, wc] += 1
-        events = g[mv == self._nxt_evt_f[g]]
-        moves = np.bincount(wb, minlength=self.num_rows)
-        return moves.tolist(), events.tolist()
+    def _call_block(self, rows: List[_Row]):
+        """The kernel's argument: row count, then each row's context."""
+        self._call = np.array(
+            [len(rows)] + [r.engine._ctx.ctypes.data for r in rows],
+            dtype=np.uint64,
+        )
+        return self._call.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64))
 
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Advance every row to completion (one-shot).
 
-        Each tick replicates the solo run loop per row — warmup
-        snapshot, arrival feeding, allocation phases, saturation/target
-        exits, idle fast-forward — then hands every active row to one
-        kernel call.  With the C kernel a tick advances each row a
-        whole *span* of cycles: Python computes, per row, the farthest
-        cycle before which no Python-side work (arrival feed, warmup
-        snapshot, re-allocation, exit check) can possibly be due, and
-        the kernel runs autonomously up to that stop — breaking out
-        early only after a cycle that emits boundary events, since
-        those mutate allocation state.  The numpy fallback advances
-        exactly one cycle per tick; both trajectories land every row
-        on states bit-identical to its solo run.
+        Each tick replays the solo loop's Python phases per row — the
+        warm-up snapshot and the arrival feed, both due on cycles known
+        in advance — and then one kernel call runs every live row up to
+        its stop.  A row retires when it reaches its end, or on the
+        cycle its backlog limit or completion target trips.
         """
         if self._ran:
             raise RuntimeError("BatchedSoAEngine.run() is one-shot")
         self._ran = True
-        for row in self._rows:
-            if not row.heap:
-                # No arrivals at all (rate 0): solo returns immediately
-                # after the warmup snapshot.
+        live: List[_Row] = []
+        for w in self.workloads:
+            if not w.engine.kernel_lifecycle:
+                # Adaptive routing or the numpy kernel: Python lifecycle.
+                w.run()
+                continue
+            row = _Row(w)
+            if row.heap:
+                live.append(row)
+            else:
+                # No arrivals at all (rate 0): nothing ever happens.
                 self._retire(row)
-        live = [row for row in self._rows if not row.done]
-        rows_by_index = self._rows
-        stride = self._row_stride
-        batch_fn = self._batch_fn
-        ctx_ptr = self._ctx_ptr if batch_fn is not None else None
-        evt_scratch = self._evt_scratch
-        nev_out = self._nev_out
-        moves_out = self._moves_out
-        cur_arr = self._cur
-        stop_arr = self._stop
-        last_arr = self._last_move
-        while live:
-            retired = False
-            # Phase 1 (per row): loop-top exit, warmup snapshot, arrival
-            # feed + admission, reroute and VC allocation — the solo
-            # step() pre-kernel phases at this row's own cycle — then
-            # the span window for the C kernel.
+        if not live:
+            return
+        fn = self._run_fn
+        ptr = self._call_block(live)
+        while True:
             for row in live:
                 e = row.engine
-                cyc = e.cycle
-                if cyc >= row.total:
-                    self._retire(row)
-                    retired = True
-                    continue
                 w = row.workload
+                cyc = e.cycle
                 if cyc == row.warmup_end and w._flits_at_warmup is None:
                     w._flits_at_warmup = e.channel_flit_counts.copy()
-                    w._cycles_at_warmup = row.counters.cycles_run
+                    w._cycles_at_warmup = e.counters.cycles_run
                 if row.due < cyc + 1:
                     w._feed_arrivals()
                     e._admit_arrivals()
-                    heap = row.heap
-                    row.due = heap[0][0] if heap else math.inf
-                if e._needs_reroute:
-                    e._reroute_cancelled()
-                if e._alloc_dirty and e._pending_channels:
-                    e._allocate_vcs()
-                row.cur = cyc
-                if batch_fn is None:
-                    continue
-                # Span window: everything the solo loop does outside
-                # the array sweep happens at a cycle known now.  The
-                # next arrival feed is due at int(row.due) (the first
-                # cycle with due < cycle + 1); the warmup snapshot at
-                # warmup_end; anything allocation-shaped — pending
-                # reroutes, a dirtied allocator, an idle engine whose
-                # next admission needs Python, or an exit condition
-                # already true (solo runs exactly one more cycle
-                # before breaking) — pins the row to a single cycle.
-                # Boundary events cannot be predicted here; the kernel
-                # itself stops after the first cycle that emits any.
-                stop = row.total
-                d = row.due
-                if d < stop:
-                    nd = int(d)
-                    if nd < stop:
-                        stop = nd
-                # (cyc < warmup_end: an idle fast-forward from exactly
-                # the warmup boundary may overshoot it, in which case
-                # solo defers the snapshot to the end of the run and so
-                # do we, via _retire.)
-                if (
-                    w._flits_at_warmup is None
-                    and cyc < row.warmup_end < stop
-                ):
+                    row.due = row.heap[0][0]
+                # An empty network jumps to the next arrival (clamped to
+                # the end of the run); the kernel also stops there, or
+                # at the warm-up edge while the snapshot is pending.
+                idle_to = int(row.due) if row.due < row.total else row.total
+                stop = idle_to
+                if w._flits_at_warmup is None and cyc < row.warmup_end < stop:
                     stop = row.warmup_end
-                counters = row.counters
-                if (
-                    e._needs_reroute
-                    or (e._alloc_dirty and e._pending_channels)
-                    or (not e.messages and row.heap)
-                    or counters.generated - counters.completed
-                    > row.backlog_limit
-                    or (
-                        row.target is not None
-                        and row.all_stats.count >= row.target
-                    )
-                ):
-                    stop = cyc + 1
-                cur_arr[row.index] = cyc
-                stop_arr[row.index] = stop
-            # Phase 2: one kernel span over every active row.
-            if batch_fn is not None:
-                batch_fn(ctx_ptr)
-                nev = int(nev_out[0])
-                events = evt_scratch[:nev].tolist() if nev else []
-                moves = moves_out.tolist()
-                news = cur_arr.tolist()
-                lasts = last_arr.tolist()
-            else:
-                moves, events = self._cycle_numpy_batch()
-                news = lasts = None
-            # Phase 3: merged boundary events, decoded (row, slot) and
-            # dispatched to the owning engine (ascending order matches
-            # the solo kernels' per-row event order).  The owning
-            # engine's clock is parked on its event cycle first, so
-            # completions timestamp exactly as in the solo run.
-            if events:
-                evt_b = -1
-                eng = None
-                for gidx in events:
-                    b, slot = divmod(gidx, stride)
-                    if b != evt_b:
-                        evt_b = b
-                        eng = rows_by_index[b].engine
-                        if news is not None:
-                            eng.cycle = news[b] - 1
-                    eng._process_boundary(slot)
-            # Phase 4 (per row): move bookkeeping, clock advance, exit
-            # checks and idle fast-forward — the solo post-kernel path,
-            # applied once per span.
+                ctl = row.ctl
+                ctl[_CUR] = cyc
+                ctl[_STOP] = stop
+                ctl[_IDLE_TO] = idle_to
+            fn(ptr)
+            retired = False
             for row in live:
-                if row.done:
-                    continue
-                e = row.engine
-                counters = row.counters
-                idx = row.index
-                mv = moves[idx]
-                if news is not None:
-                    new = news[idx]
-                    last = lasts[idx]
-                else:
-                    new = row.cur + 1
-                    last = row.cur if mv else -1
-                counters.cycles_run += new - row.cur
-                if mv:
-                    counters.flit_moves += mv
-                    e._last_progress_cycle = last
-                elif not e.messages:
-                    e._last_progress_cycle = new - 1
-                e.cycle = new
-                if (
-                    e.messages
-                    and new - 1 - e._last_progress_cycle
-                    > e._watchdog_cycles
-                ):
-                    raise RuntimeError(
-                        f"no flit progress for {e._watchdog_cycles} "
-                        f"cycles with {len(e.messages)} messages in "
-                        f"flight on batch row {idx} — engine bug"
-                    )
-                if counters.generated - counters.completed > row.backlog_limit:
+                status = row.engine._finish_call()
+                if status == STATUS_EXIT or row.engine.cycle >= row.total:
                     self._retire(row)
                     retired = True
-                    continue
-                if row.target is not None and row.all_stats.count >= row.target:
-                    self._retire(row)
-                    retired = True
-                    continue
-                if row.heap and not e.messages and not e._arrival_heap:
-                    # Fully idle row: jump its clock to its next pending
-                    # arrival, clamped at the warmup boundary and at the
-                    # end of the run, exactly like the solo loop.
-                    nxt = min(int(row.heap[0][0]), row.total)
-                    if e.cycle < row.warmup_end < nxt:
-                        nxt = row.warmup_end
-                    e.fast_forward_to(nxt)
             if retired:
                 live = [row for row in live if not row.done]
+                if not live:
+                    return
+                ptr = self._call_block(live)

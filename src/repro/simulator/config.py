@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-__all__ = ["SimulationConfig", "normalize_engine_kind", "resolve_engine_kind"]
+__all__ = [
+    "FLIT_LIMIT",
+    "SimulationConfig",
+    "normalize_engine_kind",
+    "resolve_engine_kind",
+]
+
+#: Exclusive upper bound of ``message_length`` and ``buffer_depth``.
+#: The SoA engine's int32 slot arrays add this constant to the head room
+#: of a final hop (so the depth check never blocks ejection), which is
+#: exact only while every flit count stays below it.
+FLIT_LIMIT = 1 << 28
 
 
 def normalize_engine_kind(engine: str) -> str:
@@ -164,14 +176,20 @@ class SimulationConfig:
                     "adaptive routing is implemented for the paper's "
                     "unidirectional networks only"
                 )
-        if self.buffer_depth < 1:
-            raise ValueError(f"buffer_depth must be >= 1, got {self.buffer_depth}")
-        if self.message_length < 1:
+        if not 1 <= self.buffer_depth < FLIT_LIMIT:
             raise ValueError(
-                f"message_length must be >= 1, got {self.message_length}"
+                f"buffer_depth must be in [1, 2**28), got {self.buffer_depth}"
             )
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if not 1 <= self.message_length < FLIT_LIMIT:
+            raise ValueError(
+                f"message_length must be in [1, 2**28), got {self.message_length}"
+            )
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(
+                f"rate must be non-negative and finite, got {self.rate}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError(
                 f"hotspot_fraction must be in [0, 1], got {self.hotspot_fraction}"

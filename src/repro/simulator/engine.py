@@ -109,25 +109,30 @@ class CycleEngine:
         self.on_delivery = on_delivery
         self.next_hop_chooser = next_hop_chooser
         self.adaptive = adaptive
-        partition = adaptive_partition(num_vcs) if adaptive else None
-        self.pools: List[VirtualChannelPool] = [
-            VirtualChannelPool(num_vcs, partition) for _ in range(num_channels)
-        ]
         self.messages: Dict[int, Message] = {}
         self.cycle = 0
         self.counters = EngineCounters()
         self.channel_flit_counts = np.zeros(num_channels, dtype=np.int64)
-        # Injection: per-source FIFO queues keyed by source rank.
-        self._source_queues: Dict[int, Deque[Message]] = {}
-        self._head_requested: Dict[int, bool] = {}
         # Arrival stream: heap of (time, tiebreak, message-factory args).
         self._arrival_heap: List[Tuple[float, int, Message]] = []
         self._arrival_seq = 0
+        self._last_progress_cycle = 0
+        self._watchdog_cycles = _DEADLOCK_WATCHDOG_CYCLES
+        self._init_lifecycle()
+
+    def _init_lifecycle(self) -> None:
+        """Allocation state: VC pools, source FIFOs, request bookkeeping."""
+        partition = adaptive_partition(self.num_vcs) if self.adaptive else None
+        self.pools: List[VirtualChannelPool] = [
+            VirtualChannelPool(self.num_vcs, partition)
+            for _ in range(self.num_channels)
+        ]
+        # Injection: per-source FIFO queues keyed by source rank.
+        self._source_queues: Dict[int, Deque[Message]] = {}
+        self._head_requested: Dict[int, bool] = {}
         self._active_channels: set[int] = set()
         self._pending_channels: set[int] = set()
         self._needs_reroute: List[Tuple[int, int]] = []
-        self._last_progress_cycle = 0
-        self._watchdog_cycles = _DEADLOCK_WATCHDOG_CYCLES
         # Allocation can only produce a grant after a new request or a
         # VC release; between those events the phase is a fixed point
         # (stuck FCFS queues stay stuck) and is skipped wholesale.
@@ -454,7 +459,8 @@ class CycleEngine:
         had been stepped; results and utilisation denominators are
         unchanged by fast-forwarding.
         """
-        if self.messages or self._source_queues:
+        # Messages waiting in source queues are in ``messages`` too.
+        if self.messages:
             raise RuntimeError("cannot fast-forward with messages in flight")
         if cycle <= self.cycle:
             return
@@ -464,7 +470,7 @@ class CycleEngine:
 
     def fast_forward_if_idle(self) -> None:
         """Jump the clock to the next scheduled arrival when empty."""
-        if self.messages or self._source_queues:
+        if self.messages:
             return
         nxt = self.next_arrival_cycle()
         if nxt is not None:

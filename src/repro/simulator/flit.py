@@ -17,11 +17,14 @@ and is what keeps a pure-Python flit-level simulation tractable.
 
 Only the reference engine advances ``crossed`` per flit.  The default
 structure-of-arrays engine (:mod:`repro.simulator.soa`) tracks flit
-progress in its own flat per-VC arrays and uses :class:`Message` as a
-thin view at injection, header-arrival, tail-departure and delivery
-boundaries; under that engine ``crossed`` stays at its initial zeros
-(``route_channels``, ``route_classes``, ``vcs`` and ``final_hop`` are
-kept current by both engines).
+progress in its own flat per-VC arrays, so under it ``crossed`` stays
+at its initial zeros.  When that engine's lifecycle runs in Python
+(adaptive routing, the numpy kernel) it uses :class:`Message` as a thin
+view at injection, header-arrival, tail-departure and delivery
+boundaries and keeps ``vcs``, ``alloc_hops`` and ``injected_at``
+current; when it runs in the C kernel (deterministic routing) the
+kernel copies the route at admission and hands the message back at
+delivery, and those three stay at their initial values.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Per-cycle kernels for the structure-of-arrays engine.
+"""C kernels for the structure-of-arrays engine.
 
-The SoA engine (:mod:`repro.simulator.soa`) keeps the entire link-
-arbitration state in flat preallocated ``numpy`` int32 arrays indexed by
-*slot* (``channel * num_vcs + vc``).  One engine cycle then reduces to a
+The SoA engine (:mod:`repro.simulator.soa`) keeps link-arbitration
+state in flat preallocated ``numpy`` int32 arrays indexed by *slot*
+(``channel * num_vcs + vc``).  One engine cycle of flit movement is a
 fixed two-pass sweep over those arrays:
 
 * **pass 1 (scan)** — for every channel with held VCs, pick the first
@@ -13,21 +13,27 @@ fixed two-pass sweep over those arrays:
   credit, and propagate the flit to the neighbouring worm segments
   through the ``nxt_idx`` / ``prv_idx`` links; slots whose ``moved``
   counter hits ``nxt_evt`` (header arrival or tail departure) are
-  reported back to Python for boundary handling.
+  *boundary events*.
 
-Two kernel entry points share that sweep:
+Two entry points share that sweep:
 
-* ``repro_soa_cycle`` advances **one** network per call (the solo
-  :class:`~repro.simulator.soa.SoACycleEngine`);
-* ``repro_soa_cycle_batch`` advances **B stacked networks** per call:
-  the slot arrays of B same-shape configurations live in contiguous
-  ``(B, slots + 1)`` planes (one sentinel slot per row) and one
-  invocation advances every *active* row through a whole *span* of
-  cycles — from its ``cur_cycle`` towards its caller-computed
-  ``stop_cycle``, breaking out early only after a cycle that emits
-  boundary events — reporting events as a merged list of global
-  indices ``row * row_stride + slot``.  This is what
-  :class:`~repro.simulator.batch.BatchedSoAEngine` runs on.
+* ``repro_soa_cycle`` runs **one cycle of one network** and hands its
+  boundary events back to Python.  Engines whose lifecycle stays in
+  Python use it: adaptive routing, whose next-hop chooser reads live
+  pool state.
+* ``repro_soa_run`` runs the **whole wormhole lifecycle** of B
+  deterministic-routing networks ("rows"): admission into per-source
+  FIFOs, FCFS VC allocation over per-(channel, class) request queues
+  and free-VC stacks, the sweep, header arrivals, tail departures and
+  completions, which it writes to an ordered ``(message, cycle)``
+  buffer.  Each row runs to its own stop — the next cycle at which
+  Python must feed arrivals or take the warm-up snapshot — or to the
+  first cycle at which its backlog limit or completion target trips,
+  and idle stretches are jumped.  One call per arrival-due cycle
+  replaces one Python step per cycle; the per-row tables are laid out
+  by :data:`ROW_LAYOUT` and :data:`CTL_FIELDS`.
+  :class:`~repro.simulator.batch.BatchedSoAEngine` drives it, and a
+  solo run is its one-row case.
 
 Both are compiled from one C source on first use with the system C
 compiler into ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/
@@ -35,9 +41,9 @@ kernels``) and loaded through :mod:`ctypes`.  A cached shared object
 that fails to load (a worker killed mid-write, a truncated artifact
 from an interrupted run) is *quarantined* — renamed to ``*.corrupt``,
 mirroring the sweep cache's ``corrupt/`` convention — and compilation
-is retried once before degrading; pure-``numpy`` fallbacks with the
-identical integer semantics take over when no compiler is available or
-when ``REPRO_SOA_KERNEL=numpy`` forces them.
+is retried once before degrading.  Without a compiler, or with
+``REPRO_SOA_KERNEL=numpy``, the engine keeps the Python lifecycle and
+sweeps with a pure-``numpy`` kernel of identical integer semantics.
 
 All implementations produce bit-identical simulations (all state is
 integer).
@@ -55,6 +61,8 @@ import warnings
 from pathlib import Path
 from typing import Optional, Tuple
 
+from repro.simulator.config import FLIT_LIMIT
+
 __all__ = [
     "load_c_kernel",
     "load_c_kernel_batch",
@@ -62,8 +70,106 @@ __all__ = [
     "kernel_cache_dir",
 ]
 
-C_SOURCE = r"""
-#include <stdint.h>
+#: The lifecycle kernel's int64 control block of one row, in order:
+#: run control written by Python before a call (``cur`` cycle, ``stop``
+#: cycle, ``idle_to`` — where an empty network jumps, ``warmup`` edge,
+#: ``backlog_limit``, ``target_left`` measured completions), state the
+#: kernel carries between calls (``live`` messages, ``last_progress``
+#: cycle, allocation ``dirty`` flag, ``n_cand`` queued candidate
+#: channels, allocation ``pass`` number) and per-call outputs
+#: (``moves``, ``n_done`` completions, ``n_stage`` staged words to
+#: admit, ``status``).
+CTL_FIELDS = (
+    "cur",
+    "stop",
+    "idle_to",
+    "warmup",
+    "backlog_limit",
+    "target_left",
+    "live",
+    "last_progress",
+    "dirty",
+    "n_cand",
+    "pass",
+    "moves",
+    "n_done",
+    "n_stage",
+    "status",
+)
+
+#: Index of each control-block field.
+CTL = {name: i for i, name in enumerate(CTL_FIELDS)}
+
+#: "No limit" for a row's ``backlog_limit`` and ``target_left``.
+UNLIMITED = 1 << 62
+
+#: ``status`` values of a lifecycle row after a call, in the order of
+#: the C enum of the same names: still running, exited on its backlog
+#: limit or completion target, no-progress watchdog fired, or an
+#: internal inconsistency (double release, injection of a non-head
+#: message).
+STATUS_RUN, STATUS_EXIT, STATUS_STALL, STATUS_BUG = range(4)
+
+#: One lifecycle row's context block: six scalars, then the addresses
+#: of its tables, one uint64 each — the member order of the C struct
+#: ``Tables``.
+ROW_LAYOUT = (
+    "num_channels",
+    "num_vcs",
+    "max_hops",
+    "buffer_depth",
+    "class0_vcs",
+    "watchdog",
+    "ctl",
+    "avail",
+    "head_room",
+    "moved",
+    "nxt_evt",
+    "nxt_idx",
+    "prv_idx",
+    "slot_msg",
+    "slot_hop",
+    "rr",
+    "busy_cnt",
+    "chan_flits",
+    "busy_bits",
+    "pend_cnt",
+    "became",
+    "cand",
+    "in_cand",
+    "order",
+    "in_order",
+    "free_vc",
+    "free_n",
+    "req_head",
+    "req_tail",
+    "src_head",
+    "src_tail",
+    "msg_len",
+    "msg_hops",
+    "msg_src",
+    "msg_alloc",
+    "msg_last",
+    "req_next",
+    "src_next",
+    "route_ch",
+    "route_cls",
+    "done_msg",
+    "done_cyc",
+    "win",
+    "events",
+    "stage",
+)
+
+_CTL_ENUM = "enum { %s };\n" % ", ".join(
+    f"CTL_{name.upper()}" for name in CTL_FIELDS
+)
+
+C_SOURCE = (
+    "#include <stdint.h>\n"
+    + _CTL_ENUM
+    + f"#define FINAL_BONUS {FLIT_LIMIT}\n"
+) + r"""
 
 /* One cycle of the SoA flit engine.  Arrays avail/head_room/moved/
    nxt_evt/nxt_idx/prv_idx have num_channels*num_vcs+1 entries: the last
@@ -124,133 +230,415 @@ int64_t repro_soa_cycle(const uint64_t *ctx)
     return (int64_t) nwin;
 }
 
-/* A *span* of cycles for B stacked same-shape networks.  Every state
-   array is a contiguous (num_rows, ...) plane — slot arrays carry
-   row_stride = num_channels*num_vcs+1 entries per row (each row owns
-   its own sentinel slot) — and rows are fully independent: the sweep
-   below is the solo kernel applied row by row with offset base
-   pointers, so a batched row is bit-identical to the same network
-   advanced solo.
+/* ------------------------------------------------------------------
+   The whole wormhole lifecycle of a deterministic-routing network.
 
-   Between two kernel calls the *only* Python-side state mutations are
-   arrival admission, VC (de)allocation and boundary handling; the
-   caller encodes "nothing Python-side is due before cycle
-   stop_cycle[b]" per row, and within that window this kernel may run
-   many cycles autonomously:
+   repro_soa_run advances B independent networks ("rows").  ctx[0] is
+   B and ctx[1..B] are the addresses of the rows' Tables blocks: one
+   uint64 per member, in the order of ROW_LAYOUT in kernel.py (every
+   member is 8 bytes wide, so the block is the struct).  Each row owns
+   the slot arrays of repro_soa_cycle plus everything the Python
+   engine keeps in VirtualChannelPool objects, source deques and
+   Message objects:
 
-   * a row advances from cur_cycle[b] until its stop_cycle[b], but
-     stops early right after the first cycle that emits boundary
-     events (those need Python before the next cycle can be correct);
-   * a cycle with zero winners is a fixed point — no array changes
-     without a move, and busy_cnt / nxt_evt only change Python-side —
-     so the row provably stays move-free and jumps straight to stop;
-   * busy_cnt is likewise constant for the whole call, so each row's
-     busy-channel list is built once and only those channels are
-     scanned per cycle.
+   * per (channel, class) a FIFO of requesting messages (an intrusive
+     list through req_next) and a LIFO stack of free VCs, whose initial
+     order is reversed so the lowest VC is granted first;
+   * per source node a FIFO of admitted messages (through src_next);
+   * per message (an index into the row's message table, chosen by
+     Python) its length, hop count, source, next hop to allocate, last
+     granted slot and route.
 
-   Rows with active[b] == 0 are retired configurations: skipped
-   wholesale without reshaping the batch.  Outputs per row: the new
-   cur_cycle, the span's total flit moves and the cycle of its last
-   move (-1 if none); boundary events are merged across rows into one
-   ascending list of global indices b * row_stride + slot.  At most
-   one event cycle fires per row per call, so events_out still needs
-   only num_rows*num_channels entries.  See _BATCH_CTX_LAYOUT in
-   kernel.py for the context block. */
-int64_t repro_soa_cycle_batch(const uint64_t *ctx)
+   One call runs each row from ctl[CUR] until ctl[STOP] (the next cycle
+   at which Python must feed arrivals or take the warm-up snapshot),
+   exactly as the solo loop of TorusWorkload.run would: admit the
+   messages Python staged, then per cycle
+
+     1. VC allocation (only after a request or a release),
+     2. link arbitration: the scan-then-apply sweep of repro_soa_cycle,
+     3. boundary events in ascending slot order: a header arrival
+        requests the next hop, a tail departure releases the upstream
+        VC and, on the final hop, completes the message into the
+        done_msg/done_cyc output buffer.
+
+   After each cycle the row stops early when its backlog exceeds
+   ctl[BACKLOG_LIMIT] or its measured-completion budget ctl[TARGET_LEFT]
+   runs out (STATUS_EXIT), jumps an empty network's clock the way
+   CycleEngine.fast_forward_to does, and jumps a cycle without moves
+   (a fixed point until Python acts) straight to its stop, unless the
+   no-progress watchdog fires first (STATUS_STALL). */
+
+enum { STATUS_RUN, STATUS_EXIT, STATUS_STALL, STATUS_BUG };
+
+typedef struct {
+    int64_t num_channels, num_vcs, max_hops, buffer_depth, class0_vcs,
+            watchdog;
+    int64_t *ctl;
+    int32_t *avail, *head_room, *moved, *nxt_evt, *nxt_idx, *prv_idx,
+            *slot_msg, *slot_hop;
+    int32_t *rr, *busy_cnt;
+    int64_t *chan_flits;
+    uint64_t *busy_bits;
+    int32_t *pend_cnt;
+    int64_t *became;
+    int32_t *cand, *in_cand, *order, *in_order;
+    int32_t *free_vc, *free_n, *req_head, *req_tail;
+    int32_t *src_head, *src_tail;
+    int32_t *msg_len, *msg_hops, *msg_src, *msg_alloc, *msg_last,
+            *req_next, *src_next, *route_ch, *route_cls;
+    int32_t *done_msg;
+    int64_t *done_cyc;
+    int32_t *win, *events, *stage;
+} Tables;
+
+typedef struct {
+    Tables t;
+    int32_t C, V, S, H, split;
+    int64_t live, target_left, warmup, n_done, pass;
+    int32_t dirty, n_cand, n_order, pos, pass_ch, bug;
+} Row;
+
+static void mark_candidate(Row *r, int32_t c)
 {
-    int32_t num_rows     = (int32_t) ctx[0];
-    int32_t num_channels = (int32_t) ctx[1];
-    int32_t num_vcs      = (int32_t) ctx[2];
-    int32_t row_stride   = (int32_t) ctx[3];
-    const int32_t *active    = (const int32_t *) ctx[4];   /* (B,)    */
-    const int32_t *busy_cnt  = (const int32_t *) ctx[5];   /* (B,C)   */
-    int32_t *rr              = (int32_t *) ctx[6];         /* (B,C)   */
-    int32_t *avail           = (int32_t *) ctx[7];         /* (B,S+1) */
-    int32_t *head_room       = (int32_t *) ctx[8];         /* (B,S+1) */
-    int32_t *moved           = (int32_t *) ctx[9];         /* (B,S+1) */
-    const int32_t *nxt_evt   = (const int32_t *) ctx[10];  /* (B,S+1) */
-    const int32_t *nxt_idx   = (const int32_t *) ctx[11];  /* (B,S+1) */
-    const int32_t *prv_idx   = (const int32_t *) ctx[12];  /* (B,S+1) */
-    int64_t *chan_flits      = (int64_t *) ctx[13];        /* (B,C)   */
-    int32_t *win_slots       = (int32_t *) ctx[14];        /* (C,)    */
-    int32_t *busy_list       = (int32_t *) ctx[15];        /* (C,)    */
-    int32_t *events_out      = (int32_t *) ctx[16];        /* (B*C,)  */
-    int32_t *n_events_out    = (int32_t *) ctx[17];        /* (1,)    */
-    int64_t *moves_out       = (int64_t *) ctx[18];        /* (B,)    */
-    int64_t *cur_cycle       = (int64_t *) ctx[19];        /* (B,) io */
-    const int64_t *stop_cycle = (const int64_t *) ctx[20]; /* (B,)    */
-    int64_t *last_move_out   = (int64_t *) ctx[21];        /* (B,)    */
+    if (!r->t.in_cand[c]) {
+        r->t.in_cand[c] = 1;
+        r->t.cand[r->n_cand++] = c;
+    }
+}
 
-    int64_t total = 0;
-    int32_t nev = 0;
-    for (int32_t b = 0; b < num_rows; ++b) {
-        moves_out[b] = 0;
-        last_move_out[b] = -1;
-        if (!active[b]) continue;
-        int64_t cyc = cur_cycle[b];
-        int64_t stop = stop_cycle[b];
-        if (cyc >= stop) continue;
-        int32_t row_off = b * row_stride;
-        const int32_t *busy_b = busy_cnt + (int64_t) b * num_channels;
-        int32_t *rr_b         = rr + (int64_t) b * num_channels;
-        int32_t *avail_b      = avail + row_off;
-        int32_t *head_b       = head_room + row_off;
-        int32_t *moved_b      = moved + row_off;
-        const int32_t *nev_b  = nxt_evt + row_off;
-        const int32_t *nxt_b  = nxt_idx + row_off;
-        const int32_t *prv_b  = prv_idx + row_off;
-        int64_t *flits_b      = chan_flits + (int64_t) b * num_channels;
-
-        int32_t nbusy = 0;
-        for (int32_t c = 0; c < num_channels; ++c)
-            if (busy_b[c] != 0) busy_list[nbusy++] = c;
-        if (nbusy == 0) {             /* nothing can move all span */
-            cur_cycle[b] = stop;
-            continue;
+/* Queue message m for the VC of its next unallocated hop.  Mirrors
+   CycleEngine._allocate_vcs' mid-pass rule: a request made during an
+   allocation pass joins that pass only if its channel lies ahead of
+   the channel being visited and already had requests when the pass
+   started (became[c] < pass); otherwise it waits for the next pass. */
+static void request(Row *r, int32_t m)
+{
+    Tables *t = &r->t;
+    int32_t h = t->msg_alloc[m];
+    int32_t c = t->route_ch[(int64_t) m * r->H + h];
+    int32_t q = 2 * c + t->route_cls[(int64_t) m * r->H + h];
+    t->req_next[m] = -1;
+    if (t->req_tail[q] < 0) t->req_head[q] = m;
+    else t->req_next[t->req_tail[q]] = m;
+    t->req_tail[q] = m;
+    int32_t was = t->pend_cnt[c]++;
+    int at_start = was > 0 && t->became[c] < r->pass;
+    if (!was) t->became[c] = r->pass;
+    r->dirty = 1;
+    if (r->pass_ch >= 0 && c > r->pass_ch && !t->in_order[c] && at_start) {
+        int32_t j = r->n_order++;
+        while (j > r->pos && t->order[j - 1] > c) {
+            t->order[j] = t->order[j - 1];
+            --j;
         }
-        int64_t mvtot = 0;
-        while (cyc < stop) {
-            int32_t nwin = 0;
-            for (int32_t i = 0; i < nbusy; ++i) {
-                int32_t c = busy_list[i];
-                int32_t base = c * num_vcs;
-                int32_t start = rr_b[c];
-                for (int32_t j = 0; j < num_vcs; ++j) {
+        t->order[j] = c;
+        t->in_order[c] = 1;
+    } else {
+        mark_candidate(r, c);
+    }
+}
+
+static void grant(Row *r, int32_t c, int32_t cls, int32_t m)
+{
+    Tables *t = &r->t;
+    int32_t base = c * r->V;
+    int32_t v = t->free_vc[base + (cls ? r->split : 0) + --t->free_n[2 * c + cls]];
+    int32_t s = base + v;
+    int32_t hop = t->msg_alloc[m]++;
+    t->slot_msg[s] = m;
+    t->slot_hop[s] = hop;
+    t->moved[s] = 0;
+    t->nxt_evt[s] = 1;
+    t->nxt_idx[s] = r->S;
+    if (hop == 0) {
+        t->avail[s] = t->msg_len[m];
+        t->prv_idx[s] = r->S;
+    } else {
+        /* Everything the upstream segment moved waits in this
+           channel's input buffer. */
+        int32_t p = t->msg_last[m];
+        t->avail[s] = t->moved[p];
+        t->prv_idx[s] = p;
+        t->nxt_idx[p] = s;
+    }
+    t->msg_last[m] = s;
+    t->head_room[s] = (int32_t) t->buffer_depth
+        + (hop == t->msg_hops[m] - 1 ? FINAL_BONUS : 0);
+    if (t->busy_cnt[c]++ == 0)
+        t->busy_bits[c >> 6] |= (uint64_t) 1 << (c & 63);
+    if (hop == 0) {
+        /* Injection: the source queue's head leaves; the next head
+           requests its first hop. */
+        int32_t src = t->msg_src[m];
+        if (t->src_head[src] != m) {
+            r->bug = 1;
+            return;
+        }
+        int32_t nx = t->src_next[m];
+        t->src_head[src] = nx;
+        if (nx < 0) t->src_tail[src] = -1;
+        else request(r, nx);
+    }
+}
+
+static void release(Row *r, int32_t s)
+{
+    Tables *t = &r->t;
+    if (t->slot_msg[s] < 0) {   /* double release */
+        r->bug = 1;
+        return;
+    }
+    int32_t c = s / r->V;
+    int32_t v = s - c * r->V;
+    int32_t cls = v >= r->split;
+    t->free_vc[c * r->V + (cls ? r->split : 0) + t->free_n[2 * c + cls]++] = v;
+    if (--t->busy_cnt[c] == 0)
+        t->busy_bits[c >> 6] &= ~((uint64_t) 1 << (c & 63));
+    r->dirty = 1;
+    mark_candidate(r, c);
+    t->slot_msg[s] = -1;
+    t->slot_hop[s] = -1;
+    t->avail[s] = 0;   /* a free slot must never look ready */
+    t->head_room[s] = 0;
+    t->moved[s] = 0;
+    t->nxt_evt[s] = 0;
+}
+
+/* FCFS allocation over the channels whose pools changed, in ascending
+   channel order; classes in ascending order. */
+static void allocate(Row *r)
+{
+    Tables *t = &r->t;
+    int32_t n = r->n_cand;
+    for (int32_t i = 0; i < n; ++i) {
+        int32_t c = t->cand[i];
+        int32_t j = i;
+        t->in_cand[c] = 0;
+        while (j > 0 && t->order[j - 1] > c) {
+            t->order[j] = t->order[j - 1];
+            --j;
+        }
+        t->order[j] = c;
+        t->in_order[c] = 1;
+    }
+    r->n_cand = 0;
+    r->n_order = n;
+    r->pass += 1;
+    r->dirty = 0;
+    r->pos = 0;
+    while (r->pos < r->n_order) {
+        int32_t c = t->order[r->pos++];
+        r->pass_ch = c;
+        for (int32_t cls = 0; cls < 2; ++cls) {
+            int32_t q = 2 * c + cls;
+            while (t->req_head[q] >= 0 && t->free_n[q] > 0) {
+                int32_t m = t->req_head[q];
+                t->req_head[q] = t->req_next[m];
+                if (t->req_head[q] < 0) t->req_tail[q] = -1;
+                t->pend_cnt[c] -= 1;
+                grant(r, c, cls, m);
+            }
+        }
+    }
+    for (int32_t i = 0; i < r->n_order; ++i) t->in_order[t->order[i]] = 0;
+    r->pass_ch = -1;
+}
+
+static void boundary(Row *r, int32_t s, int64_t cyc)
+{
+    Tables *t = &r->t;
+    int32_t m = t->slot_msg[s];
+    int32_t hop = t->slot_hop[s];
+    int32_t mv = t->moved[s];
+    int32_t len = t->msg_len[m];
+    int32_t last = t->msg_hops[m] - 1;
+    if (mv == 1) {   /* header reached the next router */
+        if (hop < last) request(r, m);
+        t->nxt_evt[s] = len;
+    }
+    if (mv == len) {   /* tail crossed: the upstream VC drains free */
+        if (hop >= 1) {
+            release(r, t->prv_idx[s]);
+            t->prv_idx[s] = r->S;
+        }
+        if (hop == last) {
+            release(r, s);
+            r->live -= 1;
+            if (cyc >= r->warmup) r->target_left -= 1;
+            t->done_msg[r->n_done] = m;
+            t->done_cyc[r->n_done] = cyc;
+            r->n_done += 1;
+        }
+    }
+}
+
+/* Messages staged by Python, in admission order: (m, src, length,
+   hops, channels..., classes...) each. */
+static void admit(Row *r, int64_t n_stage)
+{
+    Tables *t = &r->t;
+    const int32_t *st = t->stage;
+    int64_t i = 0;
+    while (i < n_stage) {
+        int32_t m = st[i], src = st[i + 1], hops = st[i + 3];
+        t->msg_len[m] = st[i + 2];
+        t->msg_hops[m] = hops;
+        t->msg_src[m] = src;
+        t->msg_alloc[m] = 0;
+        t->msg_last[m] = -1;
+        i += 4;
+        int32_t *rc = t->route_ch + (int64_t) m * r->H;
+        int32_t *rk = t->route_cls + (int64_t) m * r->H;
+        for (int32_t h = 0; h < hops; ++h) {
+            rc[h] = st[i + h];
+            rk[h] = st[i + hops + h];
+        }
+        i += 2 * (int64_t) hops;
+        r->live += 1;
+        t->src_next[m] = -1;
+        if (t->src_tail[src] < 0) {
+            t->src_head[src] = m;
+            t->src_tail[src] = m;
+            request(r, m);
+        } else {
+            t->src_next[t->src_tail[src]] = m;
+            t->src_tail[src] = m;
+        }
+    }
+}
+
+static int64_t run_row(const Tables *tables)
+{
+    Row row;
+    Row *r = &row;
+    r->t = *tables;
+    Tables *t = &r->t;
+    int64_t *ctl = t->ctl;
+    r->C = (int32_t) t->num_channels;
+    r->V = (int32_t) t->num_vcs;
+    r->S = r->C * r->V;
+    r->H = (int32_t) t->max_hops;
+    r->split = (int32_t) t->class0_vcs;
+    r->live = ctl[CTL_LIVE];
+    r->target_left = ctl[CTL_TARGET_LEFT];
+    r->warmup = ctl[CTL_WARMUP];
+    r->pass = ctl[CTL_PASS];
+    r->dirty = (int32_t) ctl[CTL_DIRTY];
+    r->n_cand = (int32_t) ctl[CTL_N_CAND];
+    r->n_done = 0;
+    r->pass_ch = -1;
+    r->bug = 0;
+    int64_t cyc = ctl[CTL_CUR];
+    int64_t stop = ctl[CTL_STOP];
+    int64_t idle_to = ctl[CTL_IDLE_TO];
+    int64_t limit = ctl[CTL_BACKLOG_LIMIT];
+    int64_t lp = ctl[CTL_LAST_PROGRESS];
+    int64_t watchdog = t->watchdog;
+    int64_t moves = 0;
+    int64_t status = STATUS_RUN;
+    int32_t V = r->V;
+    int32_t nwords = (r->C + 63) >> 6;
+    int32_t *avail = t->avail, *head = t->head_room, *moved = t->moved;
+    const int32_t *nxt_evt = t->nxt_evt, *nxt_idx = t->nxt_idx,
+                  *prv_idx = t->prv_idx;
+    int32_t *rr = t->rr, *win = t->win, *events = t->events;
+    int64_t *flits = t->chan_flits;
+
+    admit(r, ctl[CTL_N_STAGE]);
+    while (cyc < stop) {
+        if (r->dirty) allocate(r);
+        if (r->bug) break;
+        int32_t nwin = 0;
+        for (int32_t w = 0; w < nwords; ++w) {
+            uint64_t bits = t->busy_bits[w];
+            while (bits) {
+                int32_t c = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                int32_t base = c * V;
+                int32_t start = rr[c];
+                for (int32_t j = 0; j < V; ++j) {
                     int32_t v = start + j;
-                    if (v >= num_vcs) v -= num_vcs;
+                    if (v >= V) v -= V;
                     int32_t s = base + v;
-                    if (avail_b[s] > 0 && head_b[s] > 0) {
-                        win_slots[nwin++] = s;
-                        rr_b[c] = (v + 1 == num_vcs) ? 0 : v + 1;
+                    if (avail[s] > 0 && head[s] > 0) {
+                        win[nwin++] = s;
+                        rr[c] = (v + 1 == V) ? 0 : v + 1;
                         break;
                     }
                 }
             }
-            if (nwin == 0) {          /* fixed point: jump the stall */
-                cyc = stop;
+        }
+        if (nwin) {
+            int32_t nev = 0;
+            for (int32_t i = 0; i < nwin; ++i) {
+                int32_t s = win[i];
+                int32_t mv = ++moved[s];
+                --avail[s];
+                --head[s];
+                ++avail[nxt_idx[s]];
+                ++head[prv_idx[s]];
+                ++flits[s / V];
+                if (mv == nxt_evt[s]) events[nev++] = s;
+            }
+            for (int32_t i = 0; i < nev; ++i) boundary(r, events[i], cyc);
+            moves += nwin;
+            lp = cyc;
+        } else if (r->live > 0) {
+            if (cyc - lp > watchdog) {
+                status = STATUS_STALL;
                 break;
             }
-            int32_t nev0 = nev;
-            for (int32_t w = 0; w < nwin; ++w) {
-                int32_t s = win_slots[w];
-                int32_t m = ++moved_b[s];
-                --avail_b[s];
-                --head_b[s];
-                ++avail_b[nxt_b[s]];
-                ++head_b[prv_b[s]];
-                ++flits_b[s / num_vcs];
-                if (m == nev_b[s]) events_out[nev++] = row_off + s;
-            }
-            mvtot += nwin;
-            last_move_out[b] = cyc;
-            ++cyc;
-            if (nev != nev0) break;   /* boundary work due Python-side */
+        } else {
+            lp = cyc;
         }
-        cur_cycle[b] = cyc;
-        moves_out[b] = mvtot;
-        total += mvtot;
+        ++cyc;
+        if (r->bug) break;
+        if (r->live > limit || r->target_left <= 0) {
+            status = STATUS_EXIT;
+            break;
+        }
+        if (r->live == 0) {
+            /* Empty network: jump to the next arrival, clamped at the
+               warm-up edge (TorusWorkload.run's fast-forward). */
+            int64_t nxt = idle_to;
+            if (cyc < r->warmup && r->warmup < nxt) nxt = r->warmup;
+            if (nxt > cyc) {
+                cyc = nxt;
+                lp = nxt;
+            }
+        } else if (nwin == 0 && !r->dirty) {
+            /* No move and nothing to allocate: every cycle up to the
+               stop is this one again, so only the watchdog can fire. */
+            int64_t fire = lp + watchdog + 1;
+            if (fire < stop) {
+                cyc = fire;
+                status = STATUS_STALL;
+                break;
+            }
+            cyc = stop;
+        }
     }
-    *n_events_out = nev;
+    if (r->bug) status = STATUS_BUG;
+    ctl[CTL_CUR] = cyc;
+    ctl[CTL_LAST_PROGRESS] = lp;
+    ctl[CTL_LIVE] = r->live;
+    ctl[CTL_TARGET_LEFT] = r->target_left;
+    ctl[CTL_PASS] = r->pass;
+    ctl[CTL_DIRTY] = r->dirty;
+    ctl[CTL_N_CAND] = r->n_cand;
+    ctl[CTL_MOVES] = moves;
+    ctl[CTL_N_DONE] = r->n_done;
+    ctl[CTL_N_STAGE] = 0;
+    ctl[CTL_STATUS] = status;
+    return moves;
+}
+
+int64_t repro_soa_run(const uint64_t *ctx)
+{
+    int64_t num_rows = (int64_t) ctx[0];
+    int64_t total = 0;
+    for (int64_t b = 0; b < num_rows; ++b)
+        total += run_row((const Tables *) ctx[1 + b]);
     return total;
 }
 """
@@ -274,41 +662,10 @@ _CTX_LAYOUT = (
     "events_out",
     "n_events_out",
 )
-CTX_SIZE = len(_CTX_LAYOUT)
-
-#: Context-block layout of the batched kernel: four scalars, then the
-#: base addresses of the (num_rows, ...) planes, scratch buffers and
-#: per-row span control (int64 cur/stop/last-move/moves).  Must match
-#: the ctx[...] casts in ``repro_soa_cycle_batch``.
-_BATCH_CTX_LAYOUT = (
-    "num_rows",
-    "num_channels",
-    "num_vcs",
-    "row_stride",
-    "active",
-    "busy_cnt",
-    "rr",
-    "avail",
-    "head_room",
-    "moved",
-    "nxt_evt",
-    "nxt_idx",
-    "prv_idx",
-    "chan_flits",
-    "win_slots",
-    "busy_list",
-    "events_out",
-    "n_events_out",
-    "moves_out",
-    "cur_cycle",
-    "stop_cycle",
-    "last_move_out",
-)
-BATCH_CTX_SIZE = len(_BATCH_CTX_LAYOUT)
 
 _ARGTYPES = [ctypes.POINTER(ctypes.c_uint64)]
 
-#: ``(solo_fn, batch_fn)`` once loaded, else ``None``.
+#: ``(cycle_fn, run_fn)`` once loaded, else ``None``.
 _loaded: Optional[Tuple[object, object]] = None
 _load_attempted = False
 
@@ -391,7 +748,7 @@ def _load_functions(so_path: Path) -> Tuple[object, object]:
     """CDLL + typed handles for both kernel entry points."""
     lib = ctypes.CDLL(str(so_path))
     fns = []
-    for name in ("repro_soa_cycle", "repro_soa_cycle_batch"):
+    for name in ("repro_soa_cycle", "repro_soa_run"):
         fn = getattr(lib, name)
         fn.argtypes = _ARGTYPES
         fn.restype = ctypes.c_int64
@@ -450,13 +807,17 @@ def _load() -> Optional[Tuple[object, object]]:
 
 
 def load_c_kernel() -> Optional[object]:
-    """The compiled single-network ``repro_soa_cycle``, or ``None``."""
+    """The compiled one-cycle sweep ``repro_soa_cycle``, or ``None``."""
     fns = _load()
     return None if fns is None else fns[0]
 
 
 def load_c_kernel_batch() -> Optional[object]:
-    """The compiled multi-network ``repro_soa_cycle_batch``, or ``None``."""
+    """The compiled lifecycle entry point ``repro_soa_run``, or ``None``.
+
+    It advances B deterministic-routing rows per call; a solo run is
+    the one-row case.
+    """
     fns = _load()
     return None if fns is None else fns[1]
 

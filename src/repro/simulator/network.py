@@ -15,14 +15,19 @@ The cycle engine is selected by ``config.engine`` /
 ``$REPRO_ENGINE``: the structure-of-arrays engine
 (:class:`~repro.simulator.soa.SoACycleEngine`, default) or the
 reference engine (:class:`~repro.simulator.engine.CycleEngine`); the
-two are bit-identical in output.
+two are bit-identical in output.  :meth:`TorusWorkload.run` hands an
+SoA engine that keeps its whole lifecycle in the C kernel
+(deterministic routing) to
+:class:`~repro.simulator.batch.BatchedSoAEngine` as a one-row batch,
+which calls back into :meth:`TorusWorkload._feed_arrivals` between
+kernel calls; every other engine is stepped cycle by cycle here.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,6 +119,15 @@ class TorusWorkload:
         total_channels = self._num_network_channels + (
             self.network.num_nodes if config.model_ejection else 0
         )
+        # Statistics.
+        self.warmup_end = config.warmup_cycles
+        self.all_stats = LatencyStats()
+        self.regular_stats = LatencyStats()
+        self.hot_stats = LatencyStats()
+        self.batches = BatchMeans(batch_size=200)
+        self.measured_generated = 0
+        self._flits_at_warmup: Optional[np.ndarray] = None
+        self._cycles_at_warmup = 0
         adaptive = config.routing == "adaptive"
         self.engine_kind = resolve_engine_kind(config.engine)
         engine_cls = (
@@ -123,7 +137,7 @@ class TorusWorkload:
             num_channels=total_channels,
             num_vcs=config.num_vcs,
             buffer_depth=config.buffer_depth,
-            on_delivery=self._on_delivery,
+            on_delivery=self._delivery_recorder(),
             next_hop_chooser=self._choose_next_hop if adaptive else None,
             adaptive=adaptive,
         )
@@ -145,15 +159,6 @@ class TorusWorkload:
                 self._arrival_models.append(stream)
                 self._arrivals.append((stream.next_gap(), src))
             heapq.heapify(self._arrivals)
-        # Statistics.
-        self.warmup_end = config.warmup_cycles
-        self.all_stats = LatencyStats()
-        self.regular_stats = LatencyStats()
-        self.hot_stats = LatencyStats()
-        self.batches = BatchMeans(batch_size=200)
-        self.measured_generated = 0
-        self._flits_at_warmup: Optional[np.ndarray] = None
-        self._cycles_at_warmup = 0
 
     # ------------------------------------------------------------------
     def _hot_rank(self) -> Optional[int]:
@@ -279,20 +284,48 @@ class TorusWorkload:
                 heap, (t + self._arrival_models[src].next_gap(), src)
             )
 
-    def _on_delivery(self, msg: Message, completion_cycle: int) -> None:
-        if completion_cycle < self.warmup_end:
-            return
-        latency = completion_cycle - msg.generated_at + 1
-        self.all_stats.record(latency, hops=msg.num_hops)
-        self.batches.record(latency)
-        if msg.is_hot:
-            self.hot_stats.record(latency, hops=msg.num_hops)
-        else:
-            self.regular_stats.record(latency, hops=msg.num_hops)
+    def _delivery_recorder(self) -> Callable[[Message, int], None]:
+        """The engine's delivery callback: post-warm-up latency statistics.
+
+        It holds this workload's statistics objects, not the workload,
+        so workload and engine form no reference cycle and a finished
+        run's tables are freed as soon as the workload is dropped.
+        """
+        warmup_end = self.warmup_end
+        all_stats = self.all_stats
+        batches = self.batches
+        hot_stats = self.hot_stats
+        regular_stats = self.regular_stats
+
+        def on_delivery(msg: Message, completion_cycle: int) -> None:
+            if completion_cycle < warmup_end:
+                return
+            latency = completion_cycle - msg.generated_at + 1
+            all_stats.record(latency, hops=msg.num_hops)
+            batches.record(latency)
+            if msg.is_hot:
+                hot_stats.record(latency, hops=msg.num_hops)
+            else:
+                regular_stats.record(latency, hops=msg.num_hops)
+
+        return on_delivery
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """Run warmup + measurement (or until saturation abort)."""
+        """Run warmup + measurement (or until saturation abort).
+
+        An engine whose whole lifecycle runs in the C kernel (the SoA
+        engine with deterministic routing) runs as a one-row
+        :class:`~repro.simulator.batch.BatchedSoAEngine`, the loop
+        batched runs share.  Every other engine — the reference engine,
+        adaptive routing, the numpy kernel — is stepped cycle by cycle
+        here.
+        """
+        if getattr(self.engine, "kernel_lifecycle", False):
+            from repro.simulator.batch import BatchedSoAEngine
+
+            BatchedSoAEngine([self]).run()
+            return
         cfg = self.config
         if not self._arrivals:
             self._flits_at_warmup = self.engine.channel_flit_counts.copy()

@@ -117,13 +117,13 @@ def run_batch(
 ) -> List[SimulationResult]:
     """Run many configurations, advancing same-shape ones as one batch.
 
-    Configurations sharing an array shape
-    (:func:`~repro.simulator.batch.batch_shape_key`) are stacked into a
-    :class:`~repro.simulator.batch.BatchedSoAEngine` so one kernel call
-    per tick sweeps all of them; the rest — singletons and
-    reference-engine rows — run solo.  Either way every configuration's
-    result is bit-identical to its solo run, and results come back in
-    input order.
+    Deterministic-routing configurations sharing an array shape
+    (:func:`~repro.simulator.batch.batch_shape_key`) run as one
+    :class:`~repro.simulator.batch.BatchedSoAEngine`, so one kernel call
+    per tick advances all of them; the rest — singletons, adaptive
+    routing and reference-engine rows — run solo.  Either way every
+    configuration's result is bit-identical to its solo run, and results
+    come back in input order.
 
     ``seeds``, when given, overrides the per-configuration seed
     (``len(seeds) == len(configs)``); ``kernel`` picks the batched
@@ -141,7 +141,10 @@ def run_batch(
     results: List[Optional[SimulationResult]] = [None] * len(cfgs)
     groups: Dict[Tuple, List[int]] = {}
     for i, cfg in enumerate(cfgs):
-        if resolve_engine_kind(cfg.engine) == "reference":
+        if (
+            resolve_engine_kind(cfg.engine) == "reference"
+            or cfg.routing == "adaptive"
+        ):
             results[i] = Simulation(cfg).run()
         else:
             groups.setdefault(batch_shape_key(cfg), []).append(i)

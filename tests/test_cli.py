@@ -177,6 +177,36 @@ class TestBadFlagValues:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadNetworkParameters:
+    """A parameter the config or model constructors reject is a usage
+    error (one ``error:`` line, exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--rate", "1e-3", "--k", "1"],
+            ["simulate", "--rate", "1e-3", "--vcs", "1"],
+            ["simulate", "--rate", "1e-3", "--lm", "0"],
+            ["simulate", "--rate", "1e-3", "--h", "1.5"],
+            ["simulate", "--rate", "1e-3", "--cycles", "-5"],
+            ["simulate", "--rate", "1e-3", "--warmup", "-1"],
+            ["simulate", "--rate", "1e-3", "--seed", "-1"],
+            ["model", "--rate", "1e-4", "--h", "1.0"],
+            ["model", "--rate", "1e-4", "--k", "1"],
+            ["saturation", "--k", "1"],
+            ["panel", "fig1_h20", "--simulate", "--cycles", "-5"],
+            ["figure", "1", "--simulate", "--cycles", "0"],
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestSweepBackendFlags:
     def test_backend_default_none(self):
         # None lets the engine fall back to $REPRO_BACKEND, then "local".

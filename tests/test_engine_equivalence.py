@@ -31,6 +31,8 @@ from repro.simulator.kernel import c_kernel_available
 from repro.simulator.network import TorusWorkload
 from repro.simulator.soa import resolve_soa_kernel
 
+import vc_state
+
 
 @contextmanager
 def _env(name, value):
@@ -264,22 +266,31 @@ class TestEngineSelection:
 class TestSoAInternals:
     """The SoA engine keeps the reference engine's public invariants."""
 
-    def test_pools_drain_clean(self):
+    def test_pools_drain_clean(self, monkeypatch):
+        # Stepped by hand, so step() is the path under test; VCs are
+        # read from the kernel's holder slots and free stacks when the
+        # lifecycle runs in C, from the pools otherwise.
+        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
         cfg = SimulationConfig(
             k=4, message_length=6, rate=2e-3, hotspot_fraction=0.3,
             warmup_cycles=0, measure_cycles=3_000, seed=9, engine="soa",
         )
         w = TorusWorkload(cfg)
-        w.run()
+        assert vc_state.in_kernel(w.engine) == c_kernel_available()
+        most_held = 0
+        while w.engine.cycle < 3_000:
+            w._feed_arrivals()
+            w.engine.step()
+            most_held = max(most_held, len(vc_state.held_vcs(w.engine)))
+        assert most_held > 0
         w._arrivals.clear()
         guard = 0
         while w.engine.messages:
             w.engine.step()
             guard += 1
             assert guard < 100_000
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
-            assert all(h == -1 for h in pool.holders)
+        assert w.engine.counters.completed == w.engine.counters.generated > 0
+        vc_state.assert_drained(w.engine)
         assert not np.any(w.engine._busy_cnt)
         assert not np.any(w.engine._avail[: w.engine._n_slots])
 

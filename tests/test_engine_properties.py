@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.simulator import Simulation, SimulationConfig
 from repro.simulator.network import TorusWorkload
 
+import vc_state
+
 
 def drain(workload, guard=200_000):
     workload._arrivals.clear()
@@ -56,17 +58,15 @@ class TestEngineInvariants:
         w.run()
         c = w.engine.counters
         assert c.generated == c.completed + c.backlog
+        # Every live message is queued at its source or holds a VC.
+        in_flight = set(vc_state.held_vcs(w.engine))
+        assert len(in_flight) + vc_state.source_queued(w.engine) == c.backlog
         drain(w)
         # Queued messages live in engine.messages too, so a full drain
         # implies empty source queues and zero backlog.
         assert not w.engine.messages
         assert w.engine.counters.backlog == 0
-        assert not any(w.engine._source_queues.values())
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
-            assert sorted(
-                v for free in pool.free_by_class for v in free
-            ) == list(range(cfg.num_vcs))
+        vc_state.assert_drained(w.engine)
 
     @given(cfg=small_configs())
     @settings(max_examples=15, deadline=None)

@@ -8,6 +8,8 @@ import pytest
 from repro.simulator import Simulation, SimulationConfig
 from repro.simulator.network import TorusWorkload
 
+import vc_state
+
 BASE = SimulationConfig(
     k=8,
     n=2,
@@ -61,7 +63,8 @@ class TestBidirectional:
             w.engine.step()
             guard += 1
             assert guard < 50_000
-        assert all(p.busy_count == 0 for p in w.engine.pools)
+        assert w.engine.counters.completed > 0
+        vc_state.assert_drained(w.engine)
 
 
 class TestEjectionModelling:

@@ -9,6 +9,8 @@ from repro.simulator import Simulation, SimulationConfig
 from repro.simulator.network import TorusWorkload
 from repro.traffic.patterns import TransposePattern
 
+import vc_state
+
 
 BASE = SimulationConfig(
     k=4,
@@ -27,10 +29,13 @@ class TestConservation:
         w = TorusWorkload(BASE)
         w.run()
         c = w.engine.counters
+        assert c.completed > 0
         assert c.generated == c.completed + c.backlog
-        assert c.backlog == len(w.engine.messages) + sum(
-            len(q) for q in w.engine._source_queues.values()
-        )
+        assert c.backlog == len(w.engine.messages)
+        # Each live message waits at its source or holds a VC.
+        in_flight = set(vc_state.held_vcs(w.engine))
+        assert in_flight <= set(w.engine.messages)
+        assert len(in_flight) + vc_state.source_queued(w.engine) == c.backlog
 
     def test_flit_moves_equal_length_times_hops(self):
         """Every completed message moved exactly length*hops flits, so
@@ -57,8 +62,8 @@ class TestConservation:
             w.engine.step()
             guard += 1
             assert guard < 50_000
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
+        assert w.engine.counters.completed > 0
+        vc_state.assert_drained(w.engine)
 
 
 class TestStatisticsSanity:
